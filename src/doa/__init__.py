@@ -10,14 +10,12 @@ from .grid import (
     GridSpec,
     MatrixField,
     ScalarComponents,
-    SingularNodeError,
     integrate_first,
     lift,
     max_abs_diff,
     pointwise_add,
     pointwise_adjoint,
     pointwise_det,
-    pointwise_inverse,
     pointwise_matmul,
     pointwise_scale,
     sample,
@@ -40,12 +38,12 @@ from .operator import (
     pencil,
     scale,
     state_norm,
-    term_operator,
     zero_operator,
 )
 from .elimination import (
     EliminationOutcome,
     Invertible,
+    NonFiniteError,
     NonInvertible,
     NonInvertibleError,
     VectorDeterminant,

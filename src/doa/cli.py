@@ -1,6 +1,7 @@
 """Command-line surface.
 
-Subcommands (see README for the document format):
+Subcommands (see docs/operator_document.md for the document format and
+the output files):
 
     det           vector determinant or the non-invertibility witness
     trace         vector trace
@@ -13,8 +14,6 @@ Exit codes: 0 success / invertible, 2 non-invertible (det), 1 usage or
 format error.  Documents may use the free symbol ``lambda``; pass a value
 with ``--lambda re[,im]``.  ``spectrum`` substitutes each sweep point into
 such documents directly, and sweeps lam*I - A for documents without it.
-Sweep points are processed by a thread pool (override the worker count
-with the DOA_THREADS environment variable); output order is input order.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from .document import (
     load_document,
     uses_lambda,
 )
-from .elimination import Invertible, NonInvertible, eliminate, inverse
+from .elimination import NonFiniteError, NonInvertible, eliminate, inverse
 from .functional import power_traces, spectrum_scan, trace, trace_norm
 from .grid import ScalarComponents
 from .operator import StateVector, apply, pencil, state_norm
@@ -71,63 +70,62 @@ def _fmt_complex(z: complex, digits: int = 12) -> str:
     return f"{re}{sign}{abs(z.imag):.{digits}g}i"
 
 
-def _component_summary(comps: ScalarComponents, j: int) -> str:
-    vals = comps.values(j)
-    mean = complex(vals.mean())
-    spread = float(np.max(np.abs(vals - mean))) if vals.size else 0.0
-    if spread <= 1e-9 * max(1.0, abs(mean)):
-        return _fmt_complex(mean)
-    lo, hi = float(np.min(np.abs(vals))), float(np.max(np.abs(vals)))
-    return f"min|.|={lo:.6g}..max|.|={hi:.6g}"
-
-
 def _print_components(name: str, comps: ScalarComponents):
-    entries = ", ".join(_component_summary(comps, j) for j in range(len(comps.fields)))
+    def summary(j: int) -> str:
+        value = comps.constant_value(j)
+        if value is not None:
+            return _fmt_complex(value)
+        return f"min|.|={comps.min_abs(j):.6g}..max|.|={comps.max_abs(j):.6g}"
+
+    entries = ", ".join(summary(j) for j in range(len(comps.fields)))
     print(f"{name} = [{entries}]")
 
 
-def _components_payload(comps: ScalarComponents) -> list[dict]:
-    out = []
-    for j, f in enumerate(comps.fields):
-        vals = comps.values(j)
-        flat = [
-            complex(vals[tuple(reversed(multi))])
-            for multi in np.ndindex(*tuple(reversed(f.spec.shape)))
-        ]
-        out.append(
-            {
-                "component": j,
-                "grid": list(f.spec.shape),
-                "node_order": "coordinate 1 fastest",
-                "values": flat,
-            }
-        )
-    return out
+def _write_components(path: str, fmt: str, quantity: str, entries):
+    """Write the per-node values of each (labels, components) entry.
 
-
-def _write_components(path: str, fmt: str, name: str, comps: ScalarComponents):
+    A single unlabelled entry is written as {"quantity", "components"};
+    labelled entries as {"quantity", "orders": [{**labels, "components"}]}.
+    CSV rows carry the label values first, then component, k1..kN, re, im.
+    """
     if fmt == "json":
-        payload = {"quantity": name, "components": _components_payload(comps)}
-        text = dumps17(payload, indent=2) + "\n"
+        blocks = [
+            {
+                **labels,
+                "components": [
+                    {
+                        "component": j,
+                        "grid": list(f.spec.shape),
+                        "node_order": "coordinate 1 fastest",
+                        "values": comps.values(j).ravel(order="F").tolist(),
+                    }
+                    for j, f in enumerate(comps.fields)
+                ],
+            }
+            for labels, comps in entries
+        ]
+        body = blocks[0] if not entries[0][0] else {"orders": blocks}
+        text = dumps17({"quantity": quantity, **body}, indent=2) + "\n"
     else:
-        n = comps.fields[0].spec.dims
-        header = ["component"] + [f"k{i + 1}" for i in range(n)] + ["re", "im"]
-        lines = [",".join(header)]
-        for j, f in enumerate(comps.fields):
-            vals = comps.values(j)
-            offset = n - f.spec.dims
-            for multi in np.ndindex(*f.spec.shape):
-                coords = [""] * offset + [
-                    format(c, ".17g") for c in f.spec.node_coords(multi)
-                ]
-                v = complex(vals[multi])
-                lines.append(
-                    ",".join(
-                        [str(j)]
-                        + coords
-                        + [format(v.real, ".17g"), format(v.imag, ".17g")]
+        first_labels, first = entries[0]
+        coords = [f"k{i + 1}" for i in range(first.order)]
+        lines = [",".join([*first_labels, "component", *coords, "re", "im"])]
+        for labels, comps in entries:
+            prefix = [str(v) for v in labels.values()]
+            for j, f in enumerate(comps.fields):
+                vals = comps.values(j)
+                for multi in np.ndindex(*f.spec.shape):
+                    coords = [format(c, ".17g") for c in f.spec.node_coords(multi)]
+                    v = complex(vals[multi])
+                    lines.append(
+                        ",".join(
+                            prefix
+                            + [str(j)]
+                            + [""] * j
+                            + coords
+                            + [format(v.real, ".17g"), format(v.imag, ".17g")]
+                        )
                     )
-                )
         text = "\n".join(lines) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -157,7 +155,7 @@ def _cmd_det(ns) -> int:
         return 2
     _print_components("pi", outcome.pi)
     if ns.out_file:
-        _write_components(ns.out_file, ns.out, "pi", outcome.pi)
+        _write_components(ns.out_file, ns.out, "pi", [({}, outcome.pi)])
     return 0
 
 
@@ -166,7 +164,7 @@ def _cmd_trace(ns) -> int:
     tau = trace(op)
     _print_components("tau", tau)
     if ns.out_file:
-        _write_components(ns.out_file, ns.out, "tau", tau)
+        _write_components(ns.out_file, ns.out, "tau", [({}, tau)])
     return 0
 
 
@@ -182,43 +180,8 @@ def _cmd_power_traces(ns) -> int:
     for n, tau in enumerate(taus, start=1):
         _print_components(f"n={n}: tau", tau)
     if ns.out_file:
-        if ns.out == "json":
-            payload = {
-                "quantity": "power_traces",
-                "orders": [
-                    {"n": n, "components": _components_payload(tau)}
-                    for n, tau in enumerate(taus, start=1)
-                ],
-            }
-            with open(ns.out_file, "w", encoding="utf-8") as fh:
-                fh.write(dumps17(payload, indent=2) + "\n")
-        else:
-            n_dims = op.spec.dims
-            header = (
-                ["n", "component"]
-                + [f"k{i + 1}" for i in range(n_dims)]
-                + ["re", "im"]
-            )
-            lines = [",".join(header)]
-            for n, tau in enumerate(taus, start=1):
-                for j, f in enumerate(tau.fields):
-                    vals = tau.values(j)
-                    offset = n_dims - f.spec.dims
-                    for multi in np.ndindex(*f.spec.shape):
-                        coords = [""] * offset + [
-                            format(c, ".17g") for c in f.spec.node_coords(multi)
-                        ]
-                        v = complex(vals[multi])
-                        lines.append(
-                            ",".join(
-                                [str(n), str(j)]
-                                + coords
-                                + [format(v.real, ".17g"), format(v.imag, ".17g")]
-                            )
-                        )
-            with open(ns.out_file, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(lines) + "\n")
-        print(f"wrote {ns.out_file}")
+        entries = [({"n": n}, tau) for n, tau in enumerate(taus, start=1)]
+        _write_components(ns.out_file, ns.out, "power_traces", entries)
     return 0
 
 
@@ -247,40 +210,16 @@ def _cmd_spectrum(ns) -> int:
     doc = load_document(ns.file)
     points = _sweep_points(ns)
     n_levels = doc.n_dims
-
-    if uses_lambda(doc):
-        # the document itself is the lambda-dependent operator: eliminate it
-        from .functional import _default_workers
-        from concurrent.futures import ThreadPoolExecutor
-        import math as _math
-
-        def one(lam):
-            outcome = eliminate(build_operator(doc, lam), ns.zero_tol)
-            if isinstance(outcome, Invertible):
-                return n_levels + 1, outcome.min_abs_by_step
-            mins = list(outcome.min_abs_by_step)
-            mins.extend([_math.nan] * (n_levels + 1 - len(mins)))
-            return outcome.step, tuple(mins)
-
-        workers = _default_workers()
-        if workers > 1 and len(points) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(one, points))
-        else:
-            results = [one(lam) for lam in points]
-        degrees = [r[0] for r in results]
-        mins = [r[1] for r in results]
+    if uses_lambda(doc):  # the document itself is the lambda-dependent operator
+        scan = spectrum_scan(lambda lam: build_operator(doc, lam), points, ns.zero_tol)
     else:
-        op = build_operator(doc)
-        scan = spectrum_scan(op, points, ns.zero_tol)
-        degrees = list(scan.degrees)
-        mins = list(scan.min_abs_pi)
+        scan = spectrum_scan(build_operator(doc), points, ns.zero_tol)
 
     header = ["re_lambda", "im_lambda", "degree"] + [
         f"min_abs_pi_{j}" for j in range(n_levels + 1)
     ]
     lines = [",".join(header)]
-    for lam, deg, row in zip(points, degrees, mins):
+    for lam, deg, row in zip(scan.lambdas, scan.degrees, scan.min_abs_pi):
         lines.append(
             ",".join(
                 [format(lam.real, ".17g"), format(lam.imag, ".17g"), str(deg)]
@@ -440,13 +379,7 @@ def main(argv=None) -> int:
     try:
         ns = parser.parse_args(_merge_lambda_values(list(argv)))
         return ns.fn(ns)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DocumentFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (_UsageError, DocumentFormatError, NonFiniteError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

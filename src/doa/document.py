@@ -33,9 +33,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 
 from . import expr as _expr
-from .grid import GridSpec, sample
+from .grid import GridSpec, MatrixField, sample
 from .operator import DefectOperator, Term
 
 __all__ = [
@@ -247,8 +248,37 @@ def substitute_lambda(doc: OperatorDocument, lam: complex) -> OperatorDocument:
     )
 
 
+def _sample_entries(name: str, table, spec: GridSpec, rows: int, cols: int) -> MatrixField:
+    """`sample`, naming the entry behind an evaluation failure or a
+    non-finite value."""
+    try:
+        field = sample(table, spec, rows, cols)
+    except (_expr.ExprError, OverflowError):
+        # find the failing entry; only this error path samples entry by entry
+        for i, row in enumerate(table):
+            for k, text in enumerate(row):
+                try:
+                    sample([[text]], spec, 1, 1)
+                except _expr.ExprError as exc:
+                    raise DocumentFormatError(f"{name}[{i}][{k}]: {exc}") from exc
+                except OverflowError as exc:
+                    raise DocumentFormatError(f"{name}[{i}][{k}]: overflow ({exc})") from exc
+        raise
+    finite = np.isfinite(field.data)
+    if not finite.all():
+        *node, i, k = (int(v) for v in np.argwhere(~finite)[0])
+        raise DocumentFormatError(
+            f"{name}[{i}][{k}]: non-finite value at node {tuple(node)}"
+        )
+    return field
+
+
 def build_operator(doc: OperatorDocument, lam: complex | None = None) -> DefectOperator:
-    """Sample a document into a concrete operator on its grid."""
+    """Sample a document into a concrete operator on its grid.
+
+    Entries that fail to evaluate or sample to NaN/inf raise
+    DocumentFormatError naming the entry.
+    """
     if uses_lambda(doc):
         if lam is None:
             raise DocumentFormatError(
@@ -256,12 +286,13 @@ def build_operator(doc: OperatorDocument, lam: complex | None = None) -> DefectO
             )
         doc = substitute_lambda(doc, lam)
     spec = GridSpec(doc.grid)
-    a0 = sample(doc.a0, spec, doc.m, doc.m)
+    a0 = _sample_entries("a0", doc.a0, spec, doc.m, doc.m)
     terms = {}
     for t in doc.terms:
         width = len(t.b)
-        a = sample(t.a, spec, doc.m, width)
-        b = sample(t.b, spec, width, doc.m)
+        name = f"terms[level={t.level}]"
+        a = _sample_entries(f"{name}.a", t.a, spec, doc.m, width)
+        b = _sample_entries(f"{name}.b", t.b, spec, width, doc.m)
         terms[t.level] = Term(a, b)
     return DefectOperator(a0, terms)
 

@@ -23,6 +23,7 @@ absolute floor of 1e-300.  The scale is max |pi_j| for step 0 (A0 carries
 its own scale) and max(1, max |pi_j|) for the correction steps, whose E_j
 is anchored at the identity; a correction determinant that is uniformly at
 round-off level is a genuine zero, which a purely relative rule would miss.
+A NaN or infinite pi_j admits no verdict and raises NonFiniteError.
 """
 
 from __future__ import annotations
@@ -31,10 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec, MatrixField, ScalarComponents, integrate_first, lift, pointwise_det, pointwise_matmul, pointwise_scale
+from .grid import MatrixField, ScalarComponents, integrate_first, lift, pointwise_det, pointwise_matmul, pointwise_scale
 from .operator import (
     DefectOperator,
-    Term,
     compose,
     elementary_factor,
     identity_operator,
@@ -48,6 +48,7 @@ __all__ = [
     "NonInvertible",
     "EliminationOutcome",
     "NonInvertibleError",
+    "NonFiniteError",
     "eliminate",
     "determinant",
     "inverse",
@@ -68,15 +69,18 @@ class StepFactor:
     """Factorization data of one elimination step.
 
     ``a_left`` is A_{level, level-1} on the full grid; ``e``/``e_inv`` live
-    on the trailing coordinates.  ``cond_max`` is the worst per-node
-    condition number of E over its grid.
+    on the trailing coordinates.
     """
 
     level: int
     a_left: MatrixField
     e: MatrixField
     e_inv: MatrixField
-    cond_max: float
+
+    @property
+    def cond_max(self) -> float:
+        """The worst per-node condition number of E over its grid."""
+        return float(np.max(np.linalg.cond(self.e.data)))
 
 
 @dataclass(frozen=True)
@@ -101,6 +105,10 @@ class NonInvertible:
 EliminationOutcome = Invertible | NonInvertible
 
 
+class NonFiniteError(ValueError):
+    """Some pi_j is NaN or infinite, so no invertibility verdict exists."""
+
+
 class NonInvertibleError(ValueError):
     """Raised by operations that require an invertible operator."""
 
@@ -112,19 +120,18 @@ class NonInvertibleError(ValueError):
         self.outcome = outcome
 
 
-def _step_check(pi: MatrixField, zero_tol: float, anchored: bool):
+def _step_check(pi: MatrixField, zero_tol: float, step: int):
     vals = np.abs(pi.data[..., 0, 0])
-    if vals.ndim:
-        flat = int(np.argmin(vals))
-        node = tuple(int(i) for i in np.unravel_index(flat, vals.shape))
-        min_abs = float(vals[node])
-        max_abs = float(vals.max())
-    else:
-        node = ()
-        min_abs = max_abs = float(vals)
-    scale = max(1.0, max_abs) if anchored else max_abs
+    finite = np.isfinite(vals)
+    if not finite.all():
+        node = tuple(int(i) for i in np.argwhere(~finite)[0])
+        raise NonFiniteError(f"pi_{step} is not finite at node {node}")
+    node = np.unravel_index(int(np.argmin(vals)), vals.shape)
+    min_abs = float(vals[node])
+    max_abs = float(vals.max())
+    scale = max(1.0, max_abs) if step else max_abs
     failed = min_abs <= max(zero_tol * scale, _ABS_FLOOR)
-    return failed, node, min_abs
+    return failed, tuple(int(i) for i in node), min_abs
 
 
 def eliminate(op: DefectOperator, zero_tol: float = DEFAULT_ZERO_TOL) -> EliminationOutcome:
@@ -140,7 +147,7 @@ def eliminate(op: DefectOperator, zero_tol: float = DEFAULT_ZERO_TOL) -> Elimina
     n = spec.dims
 
     pi0 = pointwise_det(op.a0)
-    failed, node, min_abs = _step_check(pi0, zero_tol, anchored=False)
+    failed, node, min_abs = _step_check(pi0, zero_tol, 0)
     mins = [min_abs]
     if failed:
         return NonInvertible(0, node, min_abs, tuple(mins))
@@ -163,14 +170,13 @@ def eliminate(op: DefectOperator, zero_tol: float = DEFAULT_ZERO_TOL) -> Elimina
         width = gathered.rows
         e = MatrixField(trailing, np.eye(width) + gathered.data)
         pij = pointwise_det(e)
-        failed, node, min_abs = _step_check(pij, zero_tol, anchored=True)
+        failed, node, min_abs = _step_check(pij, zero_tol, j)
         mins.append(min_abs)
         pi_fields.append(pij)
         if failed:
             return NonInvertible(j, node, min_abs, tuple(mins))
         e_inv = MatrixField(trailing, np.linalg.inv(e.data))
-        cond_max = float(np.max(np.linalg.cond(e.data)))
-        steps[j - 1] = StepFactor(j, current[j], e, e_inv, cond_max)
+        steps[j - 1] = StepFactor(j, current[j], e, e_inv)
         for r in op.terms:
             if r <= j:
                 continue

@@ -29,15 +29,13 @@ degree N + 1 marks the resolvent set.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .elimination import (
     DEFAULT_ZERO_TOL,
-    Invertible,
     NonInvertible,
     NonInvertibleError,
     eliminate,
@@ -226,48 +224,26 @@ class SpectrumScan:
     min_abs_pi: tuple[tuple[float, ...], ...]
 
 
-def _default_workers() -> int:
-    env = os.environ.get("DOA_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(8, os.cpu_count() or 1)
-
-
 def spectrum_scan(
-    op: DefectOperator,
+    op: DefectOperator | Callable[[complex], DefectOperator],
     lambdas,
     zero_tol: float = DEFAULT_ZERO_TOL,
-    workers: int | None = None,
 ) -> SpectrumScan:
     """Degree D(lam) of each sample: the first step where pi vanishes.
 
-    Sample points are independent tasks; results keep the input order.
-    The worker count defaults to DOA_THREADS (or the CPU count, capped).
+    `op` is an operator, scanned as lam*I - op, or a callable
+    lam -> operator (a lambda-dependent family), scanned as is.
     """
+    at = op if callable(op) else lambda lam: pencil(lam, op)
     lambdas = tuple(complex(v) for v in lambdas)
-    n = op.n
-
-    def one(lam: complex):
-        outcome = eliminate(pencil(lam, op), zero_tol)
-        if isinstance(outcome, Invertible):
-            return n + 1, outcome.min_abs_by_step
-        mins = list(outcome.min_abs_by_step)
-        mins.extend([math.nan] * (n + 1 - len(mins)))
-        return outcome.step, tuple(mins)
-
-    count = _default_workers() if workers is None else max(1, workers)
-    if count == 1 or len(lambdas) <= 1:
-        results = [one(lam) for lam in lambdas]
-    else:
-        with ThreadPoolExecutor(max_workers=count) as pool:
-            results = list(pool.map(one, lambdas))
-
-    degrees = tuple(r[0] for r in results)
-    mins = tuple(r[1] for r in results)
-    return SpectrumScan(lambdas, degrees, mins)
+    degrees, mins = [], []
+    for lam in lambdas:
+        target = at(lam)
+        outcome = eliminate(target, zero_tol)
+        found = outcome.min_abs_by_step
+        degrees.append(outcome.step if isinstance(outcome, NonInvertible) else target.n + 1)
+        mins.append(found + (math.nan,) * (target.n + 1 - len(found)))
+    return SpectrumScan(lambdas, tuple(degrees), tuple(mins))
 
 
 def iso_check(

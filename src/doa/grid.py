@@ -19,7 +19,7 @@ error growth on fine grids stays logarithmic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,8 +29,6 @@ __all__ = [
     "GridSpec",
     "MatrixField",
     "ScalarComponents",
-    "SingularNodeError",
-    "InverseResult",
     "sample",
     "integrate_first",
     "lift",
@@ -39,23 +37,8 @@ __all__ = [
     "pointwise_scale",
     "pointwise_adjoint",
     "pointwise_det",
-    "pointwise_inverse",
     "max_abs_diff",
 ]
-
-
-class SingularNodeError(ValueError):
-    """A per-node matrix inverse hit a (near-)singular node.
-
-    Attributes:
-        node: multi-index (t_1, ..., t_d) of the offending node.
-        abs_det: |det| encountered there.
-    """
-
-    def __init__(self, message, node, abs_det):
-        super().__init__(message)
-        self.node = node
-        self.abs_det = abs_det
 
 
 @dataclass(frozen=True)
@@ -160,9 +143,6 @@ class MatrixField:
     def identity(cls, spec: GridSpec, m: int) -> "MatrixField":
         return cls.constant(spec, np.eye(m))
 
-    def map_data(self, fn: Callable[[np.ndarray], np.ndarray]) -> "MatrixField":
-        return MatrixField(self.spec, fn(self.data))
-
 
 def sample(expr_table, spec: GridSpec, rows: int, cols: int) -> MatrixField:
     """Evaluate a rows x cols table of expressions at every grid node.
@@ -266,39 +246,6 @@ def pointwise_det(field: MatrixField) -> MatrixField:
     return MatrixField(field.spec, np.asarray(dets)[..., None, None])
 
 
-@dataclass(frozen=True)
-class InverseResult:
-    """Per-node inverse plus the location of the smallest |det| seen."""
-
-    field: MatrixField
-    min_abs_det: float
-    min_node: tuple[int, ...]
-
-
-def pointwise_inverse(field: MatrixField, singular_tol: float = 1e-12) -> InverseResult:
-    """Per-node matrix inverse.
-
-    Raises SingularNodeError when some node's |det| falls at or below
-    ``singular_tol`` times the largest per-node Frobenius norm of the field.
-    """
-    if field.rows != field.cols:
-        raise ValueError("inverse requires square matrices")
-    dets = np.abs(np.linalg.det(field.data))
-    flat = int(np.argmin(dets)) if dets.ndim else 0
-    node = tuple(int(i) for i in np.unravel_index(flat, dets.shape)) if dets.ndim else ()
-    min_abs = float(dets[node]) if dets.ndim else float(dets)
-    norms = np.linalg.norm(field.data, axis=(-2, -1))
-    threshold = singular_tol * float(np.max(norms))
-    if min_abs <= threshold:
-        raise SingularNodeError(
-            f"matrix at node {node} is singular to tolerance "
-            f"(|det| = {min_abs:.3e} <= {threshold:.3e})",
-            node,
-            min_abs,
-        )
-    return InverseResult(MatrixField(field.spec, np.linalg.inv(field.data)), min_abs, node)
-
-
 def max_abs_diff(a: MatrixField, b: MatrixField) -> float:
     a, b = _align(a, b)
     if a.data.shape != b.data.shape:
@@ -387,16 +334,22 @@ class ScalarComponents:
     def max_abs(self, j: int) -> float:
         return float(np.max(np.abs(self.values(j))))
 
+    def constant_value(self, j: int, tol: float = 1e-9) -> complex | None:
+        """Component j's mean if every node lies within tol * max(1, |mean|)
+        of it, else None."""
+        vals = self.values(j)
+        mean = complex(vals.mean())
+        spread = float(np.max(np.abs(vals - mean)))
+        return mean if spread <= tol * max(1.0, abs(mean)) else None
+
     def constant_values(self, tol: float = 1e-9) -> tuple[complex, ...]:
         """Per-component constant value; raises if any component varies."""
         out = []
         for j in range(len(self.fields)):
-            vals = self.values(j)
-            mean = complex(vals.mean())
-            spread = float(np.max(np.abs(vals - mean))) if vals.size else 0.0
-            if spread > tol * max(1.0, abs(mean)):
-                raise ValueError(f"component {j} is not constant (spread {spread:.3e})")
-            out.append(mean)
+            value = self.constant_value(j, tol)
+            if value is None:
+                raise ValueError(f"component {j} is not constant")
+            out.append(value)
         return tuple(out)
 
     def _check_compatible(self, other: "ScalarComponents"):

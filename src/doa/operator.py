@@ -22,6 +22,7 @@ Everything here is pure and immutable; all per-node work is vectorized.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +46,6 @@ __all__ = [
     "zero_operator",
     "multiplication_operator",
     "elementary_factor",
-    "term_operator",
     "pencil",
     "apply",
     "add",
@@ -163,11 +163,6 @@ def zero_operator(spec: GridSpec, m: int) -> DefectOperator:
 
 def multiplication_operator(a0: MatrixField) -> DefectOperator:
     return DefectOperator(a0)
-
-
-def term_operator(level: int, a: MatrixField, b: MatrixField) -> DefectOperator:
-    """The pure integral term A <B .>_level."""
-    return DefectOperator(MatrixField.zeros(a.spec, a.rows, a.rows), {level: Term(a, b)})
 
 
 def elementary_factor(level: int, a: MatrixField, b: MatrixField) -> DefectOperator:
@@ -345,66 +340,45 @@ def compress(a: DefectOperator, tol: float = 0.0) -> DefectOperator:
     return DefectOperator(a.a0, terms)
 
 
-_KERNEL_SAMPLE_CAP = 4_000_000
+_KERNEL_BLOCK = 1 << 20  # kernel entries evaluated at once (16 MB)
 
 
-def _level_kernel_diff(ta: Term | None, tb: Term | None, j: int, spec: GridSpec) -> float:
-    """Max abs difference of level-j kernels A(k)B(k') over node pairs that
-    share trailing coordinates; sampled randomly when exhaustive is large."""
-    some = ta if ta is not None else tb
-    m = some.a.rows
-    prefix = 1
-    for npts in spec.points_per_dim[:j]:
-        prefix *= npts
+def _level_kernels_agree(ta: Term | None, tb: Term | None, j: int, spec: GridSpec, tol: float) -> bool:
+    """Whether level-j kernels A(k)B(k') agree to `tol` on all node pairs
+    that share trailing coordinates, evaluated in blocks of k rows."""
+    m = (ta if ta is not None else tb).a.rows
+    prefix = math.prod(spec.points_per_dim[:j])
     trail = spec.num_nodes // prefix
 
-    def blocks(t: Term | None):
+    def sides(t: Term | None):
+        # per trailing node: A rows (prefix*m, w) and B columns (w, prefix*m)
         if t is None:
-            return None, None
-        a = t.a.data.reshape(prefix, trail, m, t.width)
-        b = t.b.data.reshape(prefix, trail, t.width, m)
-        return a, b
+            return None
+        a = t.a.data.reshape(prefix, trail, m, t.width).transpose(1, 0, 2, 3)
+        b = t.b.data.reshape(prefix, trail, t.width, m).transpose(1, 2, 0, 3)
+        return a.reshape(trail, prefix * m, t.width), b.reshape(trail, t.width, prefix * m)
 
-    aa, ab = blocks(ta)
-    ba, bb = blocks(tb)
+    def kernel(ab, rows: slice):
+        return 0.0 if ab is None else np.matmul(ab[0][:, rows], ab[1])
 
-    if prefix * prefix * trail * m * m <= _KERNEL_SAMPLE_CAP:
-        diff = 0.0
-        for t_idx in range(trail):
-            ka = (
-                np.einsum("pij,qjl->pqil", aa[:, t_idx], ab[:, t_idx])
-                if aa is not None
-                else 0.0
-            )
-            kb = (
-                np.einsum("pij,qjl->pqil", ba[:, t_idx], bb[:, t_idx])
-                if ba is not None
-                else 0.0
-            )
-            diff = max(diff, float(np.max(np.abs(ka - kb))))
-        return diff
-
-    rng = np.random.default_rng(0)
-    samples = 2000
-    ts = rng.integers(0, trail, size=samples)
-    ps = rng.integers(0, prefix, size=samples)
-    qs = rng.integers(0, prefix, size=samples)
-    diff = 0.0
-    for t_idx, p, q in zip(ts, ps, qs):
-        ka = aa[p, t_idx] @ ab[q, t_idx] if aa is not None else 0.0
-        kb = ba[p, t_idx] @ bb[q, t_idx] if ba is not None else 0.0
-        diff = max(diff, float(np.max(np.abs(ka - kb))))
-    return diff
+    sa, sb = sides(ta), sides(tb)
+    step = max(1, _KERNEL_BLOCK // (trail * prefix * m))
+    for start in range(0, prefix * m, step):
+        rows = slice(start, start + step)
+        if not float(np.max(np.abs(kernel(sa, rows) - kernel(sb, rows)))) <= tol:
+            return False  # also on NaN
+    return True
 
 
 def equal_as_map(a: DefectOperator, b: DefectOperator, tol: float) -> bool:
     """True iff the induced maps agree to `tol`: A0 entrywise, and each
-    level's kernel A_j(k)B_j(k') on node pairs sharing trailing coordinates."""
+    level's kernel A_j(k)B_j(k') on every node pair sharing trailing
+    coordinates.  NaN anywhere makes the maps unequal."""
     _check_same_space(a, b)
-    if float(np.max(np.abs(a.a0.data - b.a0.data))) > tol:
+    if not float(np.max(np.abs(a.a0.data - b.a0.data))) <= tol:
         return False
     for j in sorted(set(a.terms) | set(b.terms)):
-        if _level_kernel_diff(a.terms.get(j), b.terms.get(j), j, a.spec) > tol:
+        if not _level_kernels_agree(a.terms.get(j), b.terms.get(j), j, a.spec, tol):
             return False
     return True
 

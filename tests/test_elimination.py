@@ -10,6 +10,7 @@ from doa import (
     GridSpec,
     Invertible,
     MatrixField,
+    NonFiniteError,
     NonInvertible,
     NonInvertibleError,
     StateVector,
@@ -250,6 +251,24 @@ def test_condition_numbers_reported():
     for step in out.steps:
         if step is not None:
             assert step.cond_max >= 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_a0_has_no_verdict(bad):
+    spec = grid66()
+    data = np.ones(spec.shape + (1, 1), dtype=complex)
+    data[2, 4, 0, 0] = bad
+    with pytest.raises(ValueError, match=r"pi_0 is not finite at node \(2, 4\)"):
+        eliminate(multiplication_operator(MatrixField(spec, data)))
+
+
+def test_non_finite_correction_step_has_no_verdict():
+    spec = grid66()
+    b = np.ones(spec.shape + (1, 1), dtype=complex)
+    b[1, 3, 0, 0] = np.inf
+    op = elementary_factor(1, MatrixField.identity(spec, 1), MatrixField(spec, b))
+    with pytest.raises(NonFiniteError, match=r"pi_1 is not finite at node \(3,\)"):
+        eliminate(op)
 
 
 def test_zero_tol_must_be_positive():

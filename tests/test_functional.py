@@ -12,8 +12,10 @@ from doa import (
     StateVector,
     add,
     apply,
+    Invertible,
     compose,
     determinant,
+    eliminate,
     exp_operator,
     identity_operator,
     inverse,
@@ -190,12 +192,24 @@ def test_spectrum_outside_trace_norm_disc():
     assert all(d == 3 for d in scan.degrees)
 
 
-def test_spectrum_workers_match_sequential():
+def test_spectrum_scan_callable_matches_per_point_eliminate():
     op = demo_operator(8)
-    lams = list(np.linspace(-3.0, 1.0, 21))
-    seq = spectrum_scan(op, lams, workers=1)
-    par = spectrum_scan(op, lams, workers=4)
-    assert seq.degrees == par.degrees
+    lams = [0.0, -1.0, -2.0, 5.0] + list(np.linspace(-3.0, 1.0, 21))
+    scan = spectrum_scan(lambda lam: pencil(lam, op), lams)
+    assert set(scan.degrees) == {0, 1, 2, 3}
+    for lam, degree, mins in zip(lams, scan.degrees, scan.min_abs_pi):
+        outcome = eliminate(pencil(lam, op))
+        want = outcome.min_abs_by_step
+        if isinstance(outcome, Invertible):
+            assert degree == 3
+        else:
+            assert degree == outcome.step
+            want = want + (math.nan,) * (2 - outcome.step)
+        np.testing.assert_array_equal(mins, want)
+    # an operator is scanned as lam*I - op: the same numbers
+    plain = spectrum_scan(op, lams)
+    assert plain.degrees == scan.degrees
+    np.testing.assert_array_equal(plain.min_abs_pi, scan.min_abs_pi)
 
 
 def test_modulated_profile_dispersion_curve():

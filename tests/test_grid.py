@@ -12,14 +12,13 @@ import pytest
 from doa.grid import (
     GridSpec,
     MatrixField,
-    SingularNodeError,
+    ScalarComponents,
     integrate_first,
     lift,
     max_abs_diff,
     pointwise_add,
     pointwise_adjoint,
     pointwise_det,
-    pointwise_inverse,
     pointwise_matmul,
     pointwise_scale,
     sample,
@@ -150,13 +149,6 @@ def test_matmul_identity():
     assert max_abs_diff(pointwise_matmul(eye, x), x) == 0.0
 
 
-def test_inverse_of_constant_diagonal():
-    spec = GridSpec((2, 2))
-    d = MatrixField.constant(spec, np.diag([2.0, 4.0]))
-    res = pointwise_inverse(d)
-    assert np.allclose(res.field.data, np.diag([0.5, 0.25]))
-
-
 def test_adjoint_involution_bit_exact():
     rng = np.random.default_rng(8)
     f = random_field(GridSpec((3, 2)), 2, 3, rng)
@@ -172,13 +164,17 @@ def test_pointwise_add_and_scale():
     assert max_abs_diff(doubled, pointwise_scale(2.0, f)) == 0.0
 
 
-def test_singularity_error_carries_node():
+def test_constant_value_within_relative_tolerance():
     spec = GridSpec((3,))
-    data = np.ones((3, 1, 1), dtype=complex)
-    data[1, 0, 0] = 0.0
-    with pytest.raises(SingularNodeError) as err:
-        pointwise_inverse(MatrixField(spec, data))
-    assert err.value.node == (1,)
+    varying = np.array([2.0, 2.0 + 1e-10, 2.0 - 1e-10])[:, None, None]
+    comps = ScalarComponents(
+        (MatrixField(spec, varying), MatrixField(GridSpec(()), np.full((1, 1), 5.0)))
+    )
+    assert comps.constant_value(0) == pytest.approx(2.0)
+    assert comps.constant_value(0, tol=1e-12) is None
+    assert comps.constant_value(1, tol=0.0) == 5.0
+    with pytest.raises(ValueError, match="component 0"):
+        comps.constant_values(tol=1e-12)
 
 
 def test_det_scalar_field():

@@ -283,6 +283,30 @@ def test_equal_as_map_detects_a0_perturbation():
     assert not equal_as_map(a, bumped, tol)
 
 
+def test_equal_as_map_detects_single_node_change_on_fine_grid():
+    # a level-2 kernel on 64^2 has 4096^2 node pairs; a change at one A-node
+    # touches only 4096 of them, so every pair must be compared
+    rng = np.random.default_rng(19)
+    spec = GridSpec((64, 64))
+    a = random_operator(spec, 1, rng, widths={2: 1})
+    for flat in rng.choice(spec.num_nodes, size=5, replace=False):
+        node = np.unravel_index(flat, spec.shape)
+        changed = a.terms[2].a.data.copy()
+        changed[node] += 1.0
+        b = DefectOperator(a.a0, {2: Term(MatrixField(spec, changed), a.terms[2].b)})
+        assert not equal_as_map(a, b, 1e-6), node
+
+
+def test_equal_as_map_nan_is_unequal():
+    rng = np.random.default_rng(20)
+    spec = grid66()
+    a = random_operator(spec, 1, rng)
+    data = a.terms[1].b.data.copy()
+    data[0, 0] = np.nan
+    b = DefectOperator(a.a0, {**a.terms, 1: Term(a.terms[1].a, MatrixField(spec, data))})
+    assert not equal_as_map(b, b, 1.0)
+
+
 def test_equal_as_map_gauge_freedom_across_fibers():
     # multiplying a level-1 pair by a k2-dependent gauge leaves the map
     # unchanged even though the raw kernels differ across fibers
