@@ -74,7 +74,6 @@ from .document import (
     document_from_dict,
     document_to_json,
     load_document,
-    substitute_lambda,
     uses_lambda,
 )
 

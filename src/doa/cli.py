@@ -11,14 +11,15 @@ the output files):
     example3      run the built-in closed-form example end to end
 
 Exit codes: 0 success / invertible, 2 non-invertible (det), 1 usage or
-format error.  Documents may use the free symbol ``lambda``; pass a value
-with ``--lambda re[,im]``.  ``spectrum`` substitutes each sweep point into
-such documents directly, and sweeps lam*I - A for documents without it.
+format error.  Documents may use the free symbol ``lambda``; it is evaluated
+with the ``--lambda re[,im]`` value.  ``spectrum`` evaluates such documents
+at each sweep point, and sweeps lam*I - A for documents without it.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import sys
 import time
 
@@ -52,13 +53,13 @@ class _Parser(argparse.ArgumentParser):
 def _parse_lambda(text: str) -> complex:
     parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        if len(parts) in (1, 2):
+            lam = complex(*map(float, parts))
+            if cmath.isfinite(lam):
+                return lam
     except ValueError:
         pass
-    raise _UsageError(f"--lambda expects 're' or 're,im', got {text!r}")
+    raise _UsageError(f"--lambda expects finite 're' or 're,im', got {text!r}")
 
 
 def _fmt_complex(z: complex, digits: int = 12) -> str:
@@ -135,10 +136,6 @@ def _write_components(path: str, fmt: str, quantity: str, entries):
 def _operator_from_args(ns) -> "tuple":
     doc = load_document(ns.file)
     lam = _parse_lambda(ns.lam) if ns.lam is not None else None
-    if uses_lambda(doc) and lam is None:
-        raise DocumentFormatError(
-            "document uses the free symbol 'lambda'; pass --lambda re[,im]"
-        )
     return doc, build_operator(doc, lam)
 
 

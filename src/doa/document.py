@@ -15,10 +15,9 @@ A document describes a canonical-form operator textually:
     }
 
 Every entry is an expression string (see `doa.expr` for the grammar).  The
-identifier ``lambda`` may appear as a free symbol; it must be substituted
-with a concrete complex number (``substitute_lambda``) before the document
-can be sampled into an operator.  Levels must be distinct and within
-1..n_dims; `a` must be m x w and `b` w x m for some width w >= 1.
+identifier ``lambda`` may appear as a free symbol; `build_operator`
+evaluates it with a concrete complex number.  Levels must be distinct and
+within 1..n_dims; `a` must be m x w and `b` w x m for some width w >= 1.
 
 Serialization of numeric results uses 17 significant digits so that values
 round-trip bit-faithfully; complex numbers are written as [re, im] pairs.
@@ -28,7 +27,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,7 +34,7 @@ import jsonschema
 import numpy as np
 
 from . import expr as _expr
-from .grid import GridSpec, MatrixField, sample
+from .grid import GridSpec, sample
 from .operator import DefectOperator, Term
 
 __all__ = [
@@ -49,7 +47,6 @@ __all__ = [
     "document_to_dict",
     "document_to_json",
     "uses_lambda",
-    "substitute_lambda",
     "build_operator",
     "dumps17",
 ]
@@ -110,9 +107,6 @@ DOCUMENT_SCHEMA = {
     },
 }
 
-_LAMBDA_RE = re.compile(r"\blambda\b")
-
-
 @dataclass(frozen=True)
 class DocumentTerm:
     level: int
@@ -145,13 +139,20 @@ def _check_matrix_shape(name: str, mat, rows: int, cols: int | None):
     return width
 
 
+def _matrices(doc: OperatorDocument):
+    """(name, matrix) for every expression matrix of the document."""
+    yield "a0", doc.a0
+    for t in doc.terms:
+        yield f"terms[level={t.level}].a", t.a
+        yield f"terms[level={t.level}].b", t.b
+
+
 def _check_expressions(doc: OperatorDocument):
-    def check(name, mat):
+    for name, mat in _matrices(doc):
         for i, row in enumerate(mat):
             for k, text in enumerate(row):
-                neutral = _LAMBDA_RE.sub("(0)", text)
                 try:
-                    tree = _expr.parse(neutral)
+                    tree = _expr.parse(text)
                 except _expr.ExprError as exc:
                     raise DocumentFormatError(f"{name}[{i}][{k}]: {exc}") from exc
                 top = tree.max_coord_index()
@@ -159,11 +160,6 @@ def _check_expressions(doc: OperatorDocument):
                     raise DocumentFormatError(
                         f"{name}[{i}][{k}]: references k{top} but n_dims = {doc.n_dims}"
                     )
-
-    check("a0", doc.a0)
-    for t in doc.terms:
-        check(f"terms[level={t.level}].a", t.a)
-        check(f"terms[level={t.level}].b", t.b)
 
 
 def document_from_dict(raw: dict) -> OperatorDocument:
@@ -220,80 +216,35 @@ def load_document(path) -> OperatorDocument:
 
 
 def uses_lambda(doc: OperatorDocument) -> bool:
-    mats = [doc.a0] + [m for t in doc.terms for m in (t.a, t.b)]
-    return any(_LAMBDA_RE.search(e) for mat in mats for row in mat for e in row)
-
-
-def _lambda_literal(lam: complex) -> str:
-    lam = complex(lam)
-    if lam.imag == 0:
-        return f"({lam.real!r})"
-    sign = "+" if lam.imag > 0 else "-"
-    return f"({lam.real!r}{sign}{abs(lam.imag)!r}i)"
-
-
-def substitute_lambda(doc: OperatorDocument, lam: complex) -> OperatorDocument:
-    """Replace the free symbol ``lambda`` with a concrete number."""
-    literal = _lambda_literal(lam)
-
-    def sub(mat):
-        return tuple(tuple(_LAMBDA_RE.sub(literal, e) for e in row) for row in mat)
-
-    return OperatorDocument(
-        doc.n_dims,
-        doc.m,
-        doc.grid,
-        sub(doc.a0),
-        tuple(DocumentTerm(t.level, sub(t.a), sub(t.b)) for t in doc.terms),
-    )
-
-
-def _sample_entries(name: str, table, spec: GridSpec, rows: int, cols: int) -> MatrixField:
-    """`sample`, naming the entry behind an evaluation failure or a
-    non-finite value."""
-    try:
-        field = sample(table, spec, rows, cols)
-    except (_expr.ExprError, OverflowError):
-        # find the failing entry; only this error path samples entry by entry
-        for i, row in enumerate(table):
-            for k, text in enumerate(row):
-                try:
-                    sample([[text]], spec, 1, 1)
-                except _expr.ExprError as exc:
-                    raise DocumentFormatError(f"{name}[{i}][{k}]: {exc}") from exc
-                except OverflowError as exc:
-                    raise DocumentFormatError(f"{name}[{i}][{k}]: overflow ({exc})") from exc
-        raise
-    finite = np.isfinite(field.data)
-    if not finite.all():
-        *node, i, k = (int(v) for v in np.argwhere(~finite)[0])
-        raise DocumentFormatError(
-            f"{name}[{i}][{k}]: non-finite value at node {tuple(node)}"
-        )
-    return field
+    trees = (_expr.parse(e) for _, mat in _matrices(doc) for row in mat for e in row)
+    return any(isinstance(node, _expr.Sym) for t in trees for node in _expr.walk(t))
 
 
 def build_operator(doc: OperatorDocument, lam: complex | None = None) -> DefectOperator:
-    """Sample a document into a concrete operator on its grid.
+    """Sample a document into a concrete operator on its grid, with the
+    free symbol ``lambda`` evaluated as `lam`.
 
-    Entries that fail to evaluate or sample to NaN/inf raise
-    DocumentFormatError naming the entry.
+    Entries that fail to evaluate (including ``lambda`` without a value) or
+    sample to NaN/inf raise DocumentFormatError naming the entry.
     """
-    if uses_lambda(doc):
-        if lam is None:
-            raise DocumentFormatError(
-                "document uses the free symbol 'lambda'; a value is required"
-            )
-        doc = substitute_lambda(doc, lam)
     spec = GridSpec(doc.grid)
-    a0 = _sample_entries("a0", doc.a0, spec, doc.m, doc.m)
-    terms = {}
-    for t in doc.terms:
-        width = len(t.b)
-        name = f"terms[level={t.level}]"
-        a = _sample_entries(f"{name}.a", t.a, spec, doc.m, width)
-        b = _sample_entries(f"{name}.b", t.b, spec, width, doc.m)
-        terms[t.level] = Term(a, b)
+    symbols = {} if lam is None else {"lambda": complex(lam)}
+    fields = []
+    for name, mat in _matrices(doc):
+        try:
+            field = sample(mat, spec, len(mat), len(mat[0]), symbols)
+        except _expr.ExprError as exc:
+            i, k = exc.entry
+            raise DocumentFormatError(f"{name}[{i}][{k}]: {exc}") from exc
+        finite = np.isfinite(field.data)
+        if not finite.all():
+            *node, i, k = (int(v) for v in np.argwhere(~finite)[0])
+            raise DocumentFormatError(
+                f"{name}[{i}][{k}]: non-finite value at node {tuple(node)}"
+            )
+        fields.append(field)
+    a0, *ab = fields
+    terms = {t.level: Term(a, b) for t, a, b in zip(doc.terms, ab[::2], ab[1::2])}
     return DefectOperator(a0, terms)
 
 

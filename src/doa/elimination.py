@@ -134,6 +134,7 @@ def _step_check(pi: MatrixField, zero_tol: float, step: int):
     return failed, tuple(int(i) for i in node), min_abs
 
 
+@np.errstate(all="ignore")  # _step_check reports NaN/inf pi_j instead
 def eliminate(op: DefectOperator, zero_tol: float = DEFAULT_ZERO_TOL) -> EliminationOutcome:
     """Run the full elimination.
 

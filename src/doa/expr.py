@@ -5,7 +5,7 @@ Grammar (whitespace-insensitive, left-associative binary operators):
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
     factor := '-' factor | base ('^' INT)?
-    base   := NUMBER | 'pi' | COORD | FUNC '(' expr ')' | '(' expr ')'
+    base   := NUMBER | 'pi' | 'lambda' | COORD | FUNC '(' expr ')' | '(' expr ')'
     COORD  := 'k' DIGITS                  (1-based coordinate index)
     FUNC   := sin | cos | exp | sqrt
     NUMBER := decimal or scientific literal, with an optional trailing 'i'
@@ -14,6 +14,8 @@ Grammar (whitespace-insensitive, left-associative binary operators):
 
 '^' binds tighter than unary minus, so "-k1^2" means -(k1^2).
 
+``lambda`` is a free symbol (`Sym`) whose value `evaluate` takes from ``symbols``.
+
 Trees are immutable; `to_text` prints a tree with minimal parentheses such
 that re-parsing yields an identical tree (identical up to source offsets;
 programmatically built negative literals print as a leading minus instead).
@@ -21,16 +23,18 @@ programmatically built negative literals print as a leading minus instead).
 
 from __future__ import annotations
 
-import cmath
 import math
 import re
 from dataclasses import dataclass, field
+
+import numpy as np
 
 __all__ = [
     "FieldExpr",
     "Lit",
     "PiConst",
     "Coord",
+    "Sym",
     "Neg",
     "BinOp",
     "Pow",
@@ -41,13 +45,16 @@ __all__ = [
     "parse",
     "evaluate",
     "to_text",
+    "walk",
 ]
 
-_FUNCS = ("sin", "cos", "exp", "sqrt")
+_FUNCS = ("sin", "cos", "exp", "sqrt")  # numpy ufunc names
 
 
 class ExprError(ValueError):
     """Base class for expression problems."""
+
+    entry: tuple[int, int] | None = None  # (row, col) set by `doa.grid.sample`
 
 
 class ExprSyntaxError(ExprError):
@@ -69,7 +76,7 @@ class FieldExpr:
 
     def max_coord_index(self) -> int:
         """Largest coordinate index referenced, 0 if none."""
-        return 0
+        return max((n.index for n in walk(self) if isinstance(n, Coord)), default=0)
 
     def __str__(self) -> str:
         return to_text(self)
@@ -91,17 +98,17 @@ class Coord(FieldExpr):
     index: int
     pos: int = field(default=0, compare=False, repr=False)
 
-    def max_coord_index(self) -> int:
-        return self.index
+
+@dataclass(frozen=True)
+class Sym(FieldExpr):
+    name: str  # "lambda", the only free symbol
+    pos: int = field(default=0, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Neg(FieldExpr):
     operand: FieldExpr
     pos: int = field(default=0, compare=False, repr=False)
-
-    def max_coord_index(self) -> int:
-        return self.operand.max_coord_index()
 
 
 @dataclass(frozen=True)
@@ -111,18 +118,12 @@ class BinOp(FieldExpr):
     right: FieldExpr
     pos: int = field(default=0, compare=False, repr=False)
 
-    def max_coord_index(self) -> int:
-        return max(self.left.max_coord_index(), self.right.max_coord_index())
-
 
 @dataclass(frozen=True)
 class Pow(FieldExpr):
     base: FieldExpr
     exponent: int
     pos: int = field(default=0, compare=False, repr=False)
-
-    def max_coord_index(self) -> int:
-        return self.base.max_coord_index()
 
 
 @dataclass(frozen=True)
@@ -131,8 +132,13 @@ class Call(FieldExpr):
     arg: FieldExpr
     pos: int = field(default=0, compare=False, repr=False)
 
-    def max_coord_index(self) -> int:
-        return self.arg.max_coord_index()
+
+def walk(tree: FieldExpr):
+    """Yield every node of a tree, parents before children."""
+    yield tree
+    for child in vars(tree).values():
+        if isinstance(child, FieldExpr):
+            yield from walk(child)
 
 
 _NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?i?")
@@ -260,6 +266,8 @@ class _Parser:
             name = tok.text
             if name == "pi":
                 return PiConst(tok.pos)
+            if name == "lambda":
+                return Sym(name, tok.pos)
             if name in _FUNCS:
                 self.expect("(")
                 arg = self.expr()
@@ -283,55 +291,104 @@ def parse(text: str) -> FieldExpr:
     return _Parser(text).parse()
 
 
-def evaluate(tree: FieldExpr, coords) -> complex:
-    """Evaluate a tree at the given coordinate values (1-based k1..kd)."""
+def evaluate(tree: FieldExpr, coords, symbols=None):
+    """Evaluate a tree at coordinates k1..kd (1-based): floats, or numpy
+    arrays that broadcast together such as a sparse ``np.meshgrid``.  Free
+    symbols take their values from the mapping `symbols`.
+
+    Values are complex, and ``*``, ``/`` and ``^`` use CPython's formulas, so
+    each element equals Python's ``complex``/``cmath`` value at that node bit
+    for bit, except ``sqrt`` of a purely imaginary value (numpy's may differ
+    in the last place) and exponents above 100 (CPython turns to polar form).
+    Raises ExprEvalError where any element divides by zero, takes ``sqrt`` of
+    a negative real or overflows (``sin``, ``cos``, ``exp`` or ``^`` of a
+    finite argument is not finite), and on a missing coordinate or symbol.
+    """
+    with np.errstate(all="ignore"):
+        return _eval(tree, coords, symbols or {})[()]
+
+
+def _eval(tree: FieldExpr, coords, symbols) -> np.ndarray:
     if isinstance(tree, Lit):
-        return tree.value
+        return np.asarray(tree.value, dtype=np.complex128)
     if isinstance(tree, PiConst):
-        return complex(math.pi)
+        return np.asarray(math.pi, dtype=np.complex128)
     if isinstance(tree, Coord):
         if tree.index > len(coords):
             raise ExprEvalError(f"missing coordinate k{tree.index}", tree.pos)
-        return complex(coords[tree.index - 1])
+        return np.asarray(coords[tree.index - 1], dtype=np.complex128)
+    if isinstance(tree, Sym):
+        if tree.name not in symbols:
+            raise ExprEvalError(f"no value given for {tree.name!r}", tree.pos)
+        return np.asarray(symbols[tree.name], dtype=np.complex128)
     if isinstance(tree, Neg):
-        return -evaluate(tree.operand, coords)
+        return -_eval(tree.operand, coords, symbols)
     if isinstance(tree, BinOp):
-        left = evaluate(tree.left, coords)
-        right = evaluate(tree.right, coords)
+        left = _eval(tree.left, coords, symbols)
+        right = _eval(tree.right, coords, symbols)
         if tree.op == "+":
             return left + right
         if tree.op == "-":
             return left - right
         if tree.op == "*":
-            return left * right
-        if right == 0:
+            return _prod(left, right)
+        if np.any(right == 0):
             raise ExprEvalError("division by zero", tree.pos)
-        return left / right
+        return _quot(left, right)
     if isinstance(tree, Pow):
-        base = evaluate(tree.base, coords)
-        if base == 0 and tree.exponent == 0:
-            return complex(1.0)
-        return base ** tree.exponent
+        base = _eval(tree.base, coords, symbols)
+        return _overflow_checked(_powu(base, tree.exponent), base, tree.pos)
     if isinstance(tree, Call):
-        value = evaluate(tree.arg, coords)
-        if tree.func == "sin":
-            return cmath.sin(value)
-        if tree.func == "cos":
-            return cmath.cos(value)
-        if tree.func == "exp":
-            return cmath.exp(value)
-        # sqrt: reject negative reals, allow genuinely complex arguments
-        if value.imag == 0 and value.real < 0:
+        value = _eval(tree.arg, coords, symbols)
+        if tree.func == "sqrt" and np.any((value.imag == 0) & (value.real < 0)):
             raise ExprEvalError("sqrt of negative real", tree.pos)
-        return cmath.sqrt(value)
+        return _overflow_checked(getattr(np, tree.func)(value), value, tree.pos)
     raise TypeError(f"not an expression node: {tree!r}")
+
+
+def _overflow_checked(value, arg, pos: int):
+    if np.any(np.isfinite(arg) & ~np.isfinite(value)):
+        raise ExprEvalError("overflow", pos)
+    return value
+
+
+def _complex(re, im) -> np.ndarray:
+    out = np.array(re, dtype=np.complex128)  # re + 1j*im: inf*1j has a NaN real part
+    out.imag = im
+    return out
+
+
+def _prod(a, b) -> np.ndarray:
+    """CPython's complex product (numpy's may differ in the last place)."""
+    return _complex(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+
+
+def _quot(a, b) -> np.ndarray:
+    """CPython's complex quotient (Smith's method); b has no zero element."""
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    by_real = np.abs(br) >= np.abs(bi)  # False also where b has a NaN part
+    ratio = np.where(by_real, bi / br, br / bi)
+    denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
+    re = np.where(by_real, ar + ai * ratio, ar * ratio + ai)
+    im = np.where(by_real, ai - ar * ratio, ai * ratio - ar)
+    return _complex(re / denom, im / denom)
+
+
+def _powu(x, n: int) -> np.ndarray:
+    """CPython's binary powering for z ** n, starting from 1 + 0j."""
+    r = np.ones(np.shape(x), dtype=np.complex128)
+    for bit in reversed(f"{n:b}"):
+        if bit == "1":
+            r = _prod(r, x)
+        x = _prod(x, x)
+    return r
 
 
 _ATOM, _POW, _NEG, _MUL, _ADD = 5, 4, 3, 2, 1
 
 
 def _prec(tree: FieldExpr) -> int:
-    if isinstance(tree, (Lit, PiConst, Coord, Call)):
+    if isinstance(tree, (Lit, PiConst, Coord, Sym, Call)):
         if isinstance(tree, Lit) and _is_negative_literal(tree.value):
             return _NEG  # prints with a leading minus
         return _ATOM
@@ -380,6 +437,8 @@ def to_text(tree: FieldExpr) -> str:
         return "pi"
     if isinstance(tree, Coord):
         return f"k{tree.index}"
+    if isinstance(tree, Sym):
+        return tree.name
     if isinstance(tree, Call):
         return f"{tree.func}({to_text(tree.arg)})"
     if isinstance(tree, Neg):

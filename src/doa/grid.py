@@ -144,35 +144,27 @@ class MatrixField:
         return cls.constant(spec, np.eye(m))
 
 
-def sample(expr_table, spec: GridSpec, rows: int, cols: int) -> MatrixField:
+def sample(expr_table, spec: GridSpec, rows: int, cols: int, symbols=None) -> MatrixField:
     """Evaluate a rows x cols table of expressions at every grid node.
 
     Entries may be parsed ``FieldExpr`` trees or raw expression strings.
-    Expressions may only reference coordinates k1..kd of `spec`.
+    Expressions may only reference coordinates k1..kd of `spec`, and free
+    symbols take their values from `symbols` (see `doa.expr.evaluate`).
+    Each entry is evaluated once over the whole grid; an ExprError carries
+    the failing entry's (row, col) in its ``entry`` attribute.
     """
     if len(expr_table) != rows or any(len(r) != cols for r in expr_table):
         raise ValueError(f"expression table must be {rows}x{cols}")
-    table = []
-    for row in expr_table:
-        parsed_row = []
-        for entry in row:
-            tree = _expr.parse(entry) if isinstance(entry, str) else entry
-            top = tree.max_coord_index()
-            if top > spec.dims:
-                raise _expr.ExprError(
-                    f"expression references k{top} but the grid has only "
-                    f"{spec.dims} coordinate(s)"
-                )
-            parsed_row.append(tree)
-        table.append(parsed_row)
-
+    axes = np.meshgrid(*map(spec.coordinates, range(spec.dims)), indexing="ij", sparse=True)
     data = np.empty(spec.shape + (rows, cols), dtype=np.complex128)
-    axes = [spec.coordinates(i) for i in range(spec.dims)]
-    for multi in np.ndindex(*spec.shape):
-        coords = [axes[i][multi[i]] for i in range(spec.dims)]
-        for r in range(rows):
-            for c in range(cols):
-                data[multi + (r, c)] = _expr.evaluate(table[r][c], coords)
+    for r, row in enumerate(expr_table):
+        for c, entry in enumerate(row):
+            try:
+                tree = _expr.parse(entry) if isinstance(entry, str) else entry
+                data[..., r, c] = _expr.evaluate(tree, axes, symbols)
+            except _expr.ExprError as exc:
+                exc.entry = (r, c)
+                raise
     return MatrixField(spec, data)
 
 

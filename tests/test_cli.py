@@ -42,6 +42,14 @@ def test_det_complex_lambda(capsys):
     assert "pi = [" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "1,-inf", "-infinity,0"])
+def test_det_rejects_non_finite_lambda(capsys, value):
+    assert main(["det", PENCIL, "--lambda", value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --lambda expects finite")
+
+
 def test_det_json_report(tmp_path, capsys):
     out_file = tmp_path / "pi.json"
     assert main(["det", PENCIL, "--lambda", "3", "--out-file", str(out_file)]) == 0
@@ -263,6 +271,7 @@ def test_out_file_golden_digest(tmp_path, capsys, command, doc, fmt, code, diges
         ("exp(1000)", [4], "a0[0][0]: overflow"),
         ("exp(700)*exp(700)-exp(700)*exp(700)", [4], "a0[0][0]: non-finite value at node (0,)"),
         ("1/k1 + exp(700)*exp(700)", [4], "a0[0][0]: non-finite value at node (0,)"),
+        ("sin(1e999)", [4], "a0[0][0]: non-finite value at node (0,)"),
     ],
 )
 def test_unevaluable_or_non_finite_entry_exit_one(tmp_path, capsys, entry, grid, message):

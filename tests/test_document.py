@@ -1,4 +1,4 @@
-"""Operator-document validation, substitution and round-trip tests."""
+"""Operator-document validation, lambda evaluation and round-trip tests."""
 
 import json
 from pathlib import Path
@@ -14,9 +14,9 @@ from doa.document import (
     document_to_json,
     dumps17,
     load_document,
-    substitute_lambda,
     uses_lambda,
 )
+from doa.grid import GridSpec
 
 DOCS = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
@@ -36,22 +36,18 @@ def test_uses_lambda_detection():
     assert not uses_lambda(load_document(DOCS / "averaging_operator.json"))
 
 
-def test_substitute_lambda_real_and_complex():
+def test_build_operator_evaluates_lambda():
     doc = load_document(DOCS / "averaging_pencil.json")
-    sub = substitute_lambda(doc, 3.0)
-    assert sub.a0[0][0] == "(3.0)"
-    sub = substitute_lambda(doc, -0.5 + 2j)
-    assert sub.a0[0][0] == "(-0.5+2.0i)"
     op = build_operator(doc, -0.5 + 2j)
-    assert complex(op.a0.data[0, 0, 0, 0]) == -0.5 + 2j
+    assert np.all(op.a0.data[..., 0, 0] == -0.5 + 2j)
 
 
 def test_lambda_word_boundary():
-    doc = document_from_dict(
-        {"n_dims": 1, "m": 1, "grid": [4], "a0": [["k1*lambda"]]}
-    )
-    sub = substitute_lambda(doc, 2.0)
-    assert sub.a0[0][0] == "k1*(2.0)"
+    raw = {"n_dims": 1, "m": 1, "grid": [4], "a0": [["k1*lambda"]]}
+    op = build_operator(document_from_dict(raw), 2.0)
+    assert np.array_equal(op.a0.data[:, 0, 0], 2 * GridSpec((4,)).coordinates(0))
+    with pytest.raises(DocumentFormatError, match="unknown identifier 'klambda'"):
+        document_from_dict({**raw, "a0": [["klambda"]]})
 
 
 def test_build_requires_lambda_value():

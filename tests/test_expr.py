@@ -3,8 +3,9 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from doa.expr import (
@@ -17,10 +18,14 @@ from doa.expr import (
     Neg,
     PiConst,
     Pow,
+    Sym,
     evaluate,
     parse,
     to_text,
+    walk,
 )
+from doa.grid import GridSpec
+from helpers import reference_evaluate
 
 
 def ev(text, coords=()):
@@ -129,7 +134,14 @@ def test_syntax_error_offset():
 
 def test_unknown_identifier_message():
     with pytest.raises(ExprSyntaxError, match="unknown identifier"):
-        parse("lambda")
+        parse("lambdax")
+
+
+def test_lambda_is_a_symbol():
+    assert parse("2*lambda") == BinOp("*", Lit(2.0), Sym("lambda"))
+    assert evaluate(parse("2*lambda"), [], {"lambda": 1.5j}) == 3j
+    with pytest.raises(ExprEvalError, match="no value given for 'lambda'"):
+        ev("1+lambda")
 
 
 def test_division_by_zero_has_location():
@@ -148,6 +160,12 @@ def test_missing_coordinate():
         ev("k2", [0.5])
 
 
+@pytest.mark.parametrize("text", ["exp(1000)", "sin(1000i)", "cos(1000i)", "(1e200*k1)^2"])
+def test_overflow_of_finite_argument(text):
+    with pytest.raises(ExprEvalError, match="overflow"):
+        ev(text, [0.5])
+
+
 def test_zero_power_negative_is_division_error():
     with pytest.raises(ExprEvalError):
         ev("1/k1^2", [0.0])
@@ -161,6 +179,7 @@ _leaves = st.one_of(
     st.integers(0, 50).map(lambda n: Lit(complex(0, n / 4))),
     st.just(PiConst()),
     st.integers(1, 3).map(Coord),
+    st.just(Sym("lambda")),
 )
 
 
@@ -190,6 +209,80 @@ def test_print_parse_round_trip(tree):
 def test_double_round_trip_stable(tree):
     text = to_text(tree)
     assert to_text(parse(text)) == text
+
+
+# --- array evaluation against the node-by-node reference ---------------
+
+GRID = GridSpec((5, 4, 3))
+NODES = [GRID.node_coords(multi) for multi in np.ndindex(*GRID.shape)]
+
+
+def _reference_grid(tree, symbols):
+    """Node-by-node values, or None if some node fails or is not finite."""
+    try:
+        values = [reference_evaluate(tree, point, symbols) for point in NODES]
+    except (ExprEvalError, OverflowError):
+        return None
+    out = np.array(values, dtype=np.complex128).reshape(GRID.shape)
+    return out if np.isfinite(out).all() else None
+
+
+def _array_grid(tree, symbols):
+    """Whole-grid values, or None if evaluation fails or is not finite."""
+    coords = np.meshgrid(*map(GRID.coordinates, range(3)), indexing="ij", sparse=True)
+    try:
+        out = np.broadcast_to(evaluate(tree, coords, symbols), GRID.shape)
+    except ExprEvalError:
+        return None
+    return np.ascontiguousarray(out) if np.isfinite(out).all() else None
+
+
+def _sqrt_of_imaginary(tree, symbols) -> bool:
+    """Whether some sqrt in the tree sees a purely imaginary value."""
+    for node in walk(tree):
+        if isinstance(node, Call) and node.func == "sqrt":
+            for point in NODES:
+                try:
+                    v = reference_evaluate(node.arg, point, symbols)
+                except (ValueError, OverflowError):
+                    continue
+                if v.real == 0 and v.imag != 0:
+                    return True
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees, st.complex_numbers(max_magnitude=4))
+def test_array_evaluation_matches_reference_bit_for_bit(tree, lam):
+    # numpy's sqrt of a purely imaginary value may differ from cmath's in
+    # the last place; every other operation must agree exactly
+    symbols = {"lambda": lam}
+    assume(not _sqrt_of_imaginary(tree, symbols))
+    try:
+        want = _reference_grid(tree, symbols)
+    except ValueError:
+        # cmath rejects a NaN/inf argument where numpy goes on with NaN,
+        # which a later x^0 can turn back into 1
+        assume(False)
+    got = _array_grid(tree, symbols)
+    assert (want is None) == (got is None)
+    if want is not None:
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("text", ["lambda*k1", "lambda/k1", "lambda^2", "lambda^7", "-lambda^0"])
+def test_complex_arithmetic_matches_python_bit_for_bit(text):
+    # numpy's own complex *, / and ** differ from Python's in the last place
+    # or the sign of zero on many of these
+    rng = np.random.default_rng(7)
+    a, b = rng.standard_normal((2, 3, 1000)) + 1j * rng.standard_normal((2, 3, 1000))
+    a[1].imag, b[1].imag = 0.0, -0.0
+    a[2].real, b[2].real = -0.0, 0.0
+    got = evaluate(parse(text), [b.ravel()], {"lambda": a.ravel()})
+    want = np.array(
+        [reference_evaluate(parse(text), [y], {"lambda": x}) for x, y in zip(a.flat, b.flat)]
+    )
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize(
