@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import math
 import sys
 import time
 
@@ -48,6 +49,33 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); the contract wants 1
         raise _UsageError(message)
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
 
 
 def _parse_lambda(text: str) -> complex:
@@ -309,7 +337,7 @@ def _cmd_example3(ns) -> int:
 def _add_common(p: argparse.ArgumentParser, with_out: bool = True):
     p.add_argument("file", help="operator document (JSON)")
     p.add_argument("--lambda", dest="lam", default=None, help="value for the free symbol lambda: re[,im]")
-    p.add_argument("--zero-tol", type=float, default=1e-10, help="relative zero threshold for elimination")
+    p.add_argument("--zero-tol", type=_positive_float, default=1e-10, help="relative zero threshold for elimination")
     if with_out:
         p.add_argument("--out", choices=("json", "csv"), default="json", help="format for --out-file")
         p.add_argument("--out-file", default=None, help="write full per-node components here")
@@ -333,17 +361,17 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("power-traces", help="tau(A^n) for n = 1..n_max")
     _add_common(p)
-    p.add_argument("--n-max", type=int, default=6)
+    p.add_argument("--n-max", type=_positive_int, default=6)
     p.set_defaults(fn=_cmd_power_traces)
 
     p = sub.add_parser("spectrum", help="CSV sweep of spectrum degrees")
     p.add_argument("file")
-    p.add_argument("--re-min", type=float, required=True)
-    p.add_argument("--re-max", type=float, required=True)
-    p.add_argument("--im-min", type=float, default=0.0)
-    p.add_argument("--im-max", type=float, default=0.0)
+    p.add_argument("--re-min", type=_finite_float, required=True)
+    p.add_argument("--re-max", type=_finite_float, required=True)
+    p.add_argument("--im-min", type=_finite_float, default=0.0)
+    p.add_argument("--im-max", type=_finite_float, default=0.0)
     p.add_argument("--samples", default="101", help="NRE or NRE,NIM sample counts")
-    p.add_argument("--zero-tol", type=float, default=1e-10)
+    p.add_argument("--zero-tol", type=_positive_float, default=1e-10)
     p.add_argument("--out-file", default=None)
     p.set_defaults(fn=_cmd_spectrum)
 

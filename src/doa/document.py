@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import expr as _expr
@@ -41,7 +40,6 @@ __all__ = [
     "OperatorDocument",
     "DocumentTerm",
     "DocumentFormatError",
-    "DOCUMENT_SCHEMA",
     "load_document",
     "document_from_dict",
     "document_to_dict",
@@ -55,57 +53,6 @@ __all__ = [
 class DocumentFormatError(ValueError):
     """The document is malformed (JSON, schema, shapes or expressions)."""
 
-
-DOCUMENT_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "title": "OperatorDocument",
-    "type": "object",
-    "required": ["n_dims", "m", "grid", "a0"],
-    "additionalProperties": False,
-    "properties": {
-        "n_dims": {"type": "integer", "minimum": 1},
-        "m": {"type": "integer", "minimum": 1},
-        "grid": {
-            "type": "array",
-            "minItems": 1,
-            "items": {"type": "integer", "minimum": 1},
-        },
-        "a0": {
-            "type": "array",
-            "minItems": 1,
-            "items": {"type": "array", "minItems": 1, "items": {"type": "string"}},
-        },
-        "terms": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["level", "a", "b"],
-                "additionalProperties": False,
-                "properties": {
-                    "level": {"type": "integer", "minimum": 1},
-                    "a": {
-                        "type": "array",
-                        "minItems": 1,
-                        "items": {
-                            "type": "array",
-                            "minItems": 1,
-                            "items": {"type": "string"},
-                        },
-                    },
-                    "b": {
-                        "type": "array",
-                        "minItems": 1,
-                        "items": {
-                            "type": "array",
-                            "minItems": 1,
-                            "items": {"type": "string"},
-                        },
-                    },
-                },
-            },
-        },
-    },
-}
 
 @dataclass(frozen=True)
 class DocumentTerm:
@@ -124,7 +71,61 @@ class OperatorDocument:
 
 
 def _matrix(rows) -> tuple[tuple[str, ...], ...]:
-    return tuple(tuple(str(e) for e in row) for row in rows)
+    return tuple(map(tuple, rows))
+
+
+def _schema_error(path, message: str) -> DocumentFormatError:
+    where = "/".join(str(p) for p in path)
+    return DocumentFormatError(f"schema violation at '{where}': {message}")
+
+
+def _check_keys(obj, path, required, optional=()):
+    if not isinstance(obj, dict):
+        raise _schema_error(path, "expected an object")
+    for key in required:
+        if key not in obj:
+            raise _schema_error(path, f"missing key {key!r}")
+    for key in obj:
+        if key not in required and key not in optional:
+            raise _schema_error(path, f"unexpected key {key!r}")
+
+
+def _check_count(value, path):
+    # a JSON Schema integer: bools are not, integral floats such as 2.0 are
+    is_int = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not is_int or value < 1:
+        raise _schema_error(path, "expected an integer >= 1")
+
+
+def _check_list(value, path, min_items=1):
+    if not isinstance(value, list) or len(value) < min_items:
+        raise _schema_error(path, f"expected a list of length >= {min_items}")
+
+
+def _check_matrix(value, path):
+    _check_list(value, path)
+    for i, row in enumerate(value):
+        _check_list(row, (*path, i))
+        for k, entry in enumerate(row):
+            if not isinstance(entry, str):
+                raise _schema_error((*path, i, k), "expected a string")
+
+
+def _check_schema(raw):
+    """Check the rules of docs/operator_document.schema.json (a test keeps them equal)."""
+    _check_keys(raw, (), ("n_dims", "m", "grid", "a0"), ("terms",))
+    _check_count(raw["n_dims"], ("n_dims",))
+    _check_count(raw["m"], ("m",))
+    _check_list(raw["grid"], ("grid",))
+    for i, n in enumerate(raw["grid"]):
+        _check_count(n, ("grid", i))
+    _check_matrix(raw["a0"], ("a0",))
+    _check_list(raw.get("terms", []), ("terms",), 0)
+    for i, item in enumerate(raw.get("terms", [])):
+        _check_keys(item, ("terms", i), ("level", "a", "b"))
+        _check_count(item["level"], ("terms", i, "level"))
+        _check_matrix(item["a"], ("terms", i, "a"))
+        _check_matrix(item["b"], ("terms", i, "b"))
 
 
 def _check_matrix_shape(name: str, mat, rows: int, cols: int | None):
@@ -163,16 +164,14 @@ def _check_expressions(doc: OperatorDocument):
 
 
 def document_from_dict(raw: dict) -> OperatorDocument:
-    """Validate a raw dict against the schema and structural rules."""
-    try:
-        jsonschema.validate(raw, DOCUMENT_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path)
-        raise DocumentFormatError(f"schema violation at '{path}': {exc.message}") from exc
+    """Check a raw dict against the rules of the schema file (integral floats
+    count as integers and are stored as ints), then the structural rules:
+    shapes, levels and expressions."""
+    _check_schema(raw)
 
-    n_dims = raw["n_dims"]
-    m = raw["m"]
-    grid = tuple(raw["grid"])
+    n_dims = int(raw["n_dims"])
+    m = int(raw["m"])
+    grid = tuple(int(n) for n in raw["grid"])
     if len(grid) != n_dims:
         raise DocumentFormatError(
             f"grid lists {len(grid)} resolutions but n_dims = {n_dims}"
@@ -183,7 +182,7 @@ def document_from_dict(raw: dict) -> OperatorDocument:
     terms = []
     seen = set()
     for item in raw.get("terms", []):
-        level = item["level"]
+        level = int(item["level"])
         if not 1 <= level <= n_dims:
             raise DocumentFormatError(f"term level {level} outside 1..{n_dims}")
         if level in seen:

@@ -142,8 +142,8 @@ def eliminate(op: DefectOperator, zero_tol: float = DEFAULT_ZERO_TOL) -> Elimina
     ``NonInvertible`` (failing step, witness node, min |pi|).  Absent
     levels contribute pi_j = 1 and trivial factors.  Nothing is mutated.
     """
-    if zero_tol <= 0:
-        raise ValueError("zero_tol must be positive")
+    if not 0 < zero_tol < np.inf:  # also rejects NaN
+        raise ValueError(f"zero_tol must be positive and finite, got {zero_tol!r}")
     spec = op.spec
     n = spec.dims
 

@@ -172,8 +172,8 @@ def _tokenize(text: str) -> list[_Token]:
             out.append(_Token("NUM", m.group(), i))
             i = m.end()
             continue
-        if c.isalpha() or c == "_":
-            m = _IDENT_RE.match(text, i)
+        m = _IDENT_RE.match(text, i)
+        if m:  # ASCII only: a non-ASCII letter is an unexpected character
             out.append(_Token("IDENT", m.group(), i))
             i = m.end()
             continue

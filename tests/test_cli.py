@@ -188,10 +188,48 @@ def test_example3_grids(capsys):
         assert "all checks passed" in out
 
 
+USAGE_ERRORS = [
+    ["det"],
+    ["spectrum", OPERATOR, "--re-min", "0"],
+    ["bogus-command"],
+    ["det", PENCIL, "--lambda", "1", "--zero-tol", "nan"],
+    ["det", PENCIL, "--lambda", "1", "--zero-tol", "0"],
+    ["det", PENCIL, "--lambda", "1", "--zero-tol", "-1"],
+    ["spectrum", OPERATOR, "--re-min", "-1", "--re-max", "-1", "--samples", "1", "--zero-tol", "nan"],
+    ["spectrum", OPERATOR, "--re-min", "-1", "--re-max", "-1", "--samples", "1", "--zero-tol", "inf"],
+    ["spectrum", PENCIL, "--re-min", "nan", "--re-max", "1"],
+    ["spectrum", PENCIL, "--re-min", "0", "--re-max", "inf"],
+    ["spectrum", OPERATOR, "--re-min", "0", "--re-max", "1", "--im-min", "-inf"],
+    ["spectrum", OPERATOR, "--re-min", "0", "--re-max", "1", "--im-max", "nan"],
+    ["power-traces", IDENTITY, "--n-max", "0"],
+    ["power-traces", IDENTITY, "--n-max", "x"],
+]
+
+
 def test_usage_error_exit_one(capsys):
-    assert main(["det"]) == 1
-    assert main(["spectrum", OPERATOR, "--re-min", "0"]) == 1
-    assert main(["bogus-command"]) == 1
+    for argv in USAGE_ERRORS:
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("error:"), argv
+        assert "Traceback" not in captured.err, argv
+
+
+def test_spectrum_accepts_integral_floats(tmp_path):
+    # JSON Schema integers include 2.0; the sweep must match the int document
+    raw = json.loads(Path(PENCIL).read_text())
+    raw.update(n_dims=2.0, m=1.0, grid=[8.0, 8.0])
+    for term in raw["terms"]:
+        term["level"] = float(term["level"])
+    floats = tmp_path / "floats.json"
+    floats.write_text(json.dumps(raw))
+    outputs = []
+    for doc in (PENCIL, str(floats)):
+        out_file = tmp_path / f"{Path(doc).stem}.csv"
+        argv = ["spectrum", doc, "--re-min", "-3", "--re-max", "1", "--samples", "9"]
+        assert main(argv + ["--out-file", str(out_file)]) == 0
+        outputs.append(out_file.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_malformed_document_exit_one(tmp_path, capsys):

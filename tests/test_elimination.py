@@ -272,5 +272,6 @@ def test_non_finite_correction_step_has_no_verdict():
 
 
 def test_zero_tol_must_be_positive():
-    with pytest.raises(ValueError):
-        eliminate(identity_operator(grid66(), 1), 0.0)
+    for zero_tol in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="zero_tol must be positive and finite"):
+            eliminate(identity_operator(grid66(), 1), zero_tol)

@@ -119,6 +119,8 @@ def test_complex_literal_suffix():
         ("2^-3", ExprSyntaxError),
         ("k0", ExprSyntaxError),
         ("1 @ 2", ExprSyntaxError),
+        ("\u00c0", ExprSyntaxError),
+        ("2*k\u00e9", ExprSyntaxError),
     ],
 )
 def test_syntax_errors(bad, kind):
