@@ -110,6 +110,28 @@ def _print_components(name: str, comps: ScalarComponents):
     print(f"{name} = [{entries}]")
 
 
+def _write_text(path: str, text: str):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    print(f"wrote {path}")
+
+
+def _fill_rows(row: str, table: np.ndarray) -> str:
+    """One `row` template per row of a 2-D float table, filled in one call."""
+    return (row * len(table)) % tuple(table.ravel().tolist())
+
+
+def _csv_rows(cells: list[str], comps: ScalarComponents, j: int) -> str:
+    """Rows `cells`, k1..kd, re, im for every node of component j, in
+    row-major order (coordinate N fastest)."""
+    spec = comps.fields[j].spec
+    vals = comps.values(j)
+    axes = np.meshgrid(*map(spec.coordinates, range(spec.dims)), indexing="ij")
+    table = np.column_stack([*(a.ravel() for a in axes), vals.real.ravel(), vals.imag.ravel()])
+    literal = [c.replace("%", "%%") for c in cells]
+    return _fill_rows(",".join(literal + ["%.17g"] * (spec.dims + 2)) + "\n", table)
+
+
 def _write_components(path: str, fmt: str, quantity: str, entries):
     """Write the per-node values of each (labels, components) entry.
 
@@ -126,7 +148,7 @@ def _write_components(path: str, fmt: str, quantity: str, entries):
                         "component": j,
                         "grid": list(f.spec.shape),
                         "node_order": "coordinate 1 fastest",
-                        "values": comps.values(j).ravel(order="F").tolist(),
+                        "values": comps.values(j).ravel(order="F"),
                     }
                     for j, f in enumerate(comps.fields)
                 ],
@@ -138,27 +160,13 @@ def _write_components(path: str, fmt: str, quantity: str, entries):
     else:
         first_labels, first = entries[0]
         coords = [f"k{i + 1}" for i in range(first.order)]
-        lines = [",".join([*first_labels, "component", *coords, "re", "im"])]
-        for labels, comps in entries:
-            prefix = [str(v) for v in labels.values()]
-            for j, f in enumerate(comps.fields):
-                vals = comps.values(j)
-                for multi in np.ndindex(*f.spec.shape):
-                    coords = [format(c, ".17g") for c in f.spec.node_coords(multi)]
-                    v = complex(vals[multi])
-                    lines.append(
-                        ",".join(
-                            prefix
-                            + [str(j)]
-                            + [""] * j
-                            + coords
-                            + [format(v.real, ".17g"), format(v.imag, ".17g")]
-                        )
-                    )
-        text = "\n".join(lines) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    print(f"wrote {path}")
+        header = ",".join([*first_labels, "component", *coords, "re", "im"]) + "\n"
+        text = header + "".join(
+            _csv_rows([*map(str, labels.values()), str(j), *[""] * j], comps, j)
+            for labels, comps in entries
+            for j in range(len(comps.fields))
+        )
+    _write_text(path, text)
 
 
 def _operator_from_args(ns) -> "tuple":
@@ -234,28 +242,17 @@ def _sweep_points(ns) -> list[complex]:
 def _cmd_spectrum(ns) -> int:
     doc = load_document(ns.file)
     points = _sweep_points(ns)
-    n_levels = doc.n_dims
     if uses_lambda(doc):  # the document itself is the lambda-dependent operator
         scan = spectrum_scan(lambda lam: build_operator(doc, lam), points, ns.zero_tol)
     else:
         scan = spectrum_scan(build_operator(doc), points, ns.zero_tol)
 
-    header = ["re_lambda", "im_lambda", "degree"] + [
-        f"min_abs_pi_{j}" for j in range(n_levels + 1)
-    ]
-    lines = [",".join(header)]
-    for lam, deg, row in zip(scan.lambdas, scan.degrees, scan.min_abs_pi):
-        lines.append(
-            ",".join(
-                [format(lam.real, ".17g"), format(lam.imag, ".17g"), str(deg)]
-                + [format(v, ".17g") for v in row]
-            )
-        )
-    text = "\n".join(lines) + "\n"
+    header = ["re_lambda", "im_lambda", "degree", *(f"min_abs_pi_{j}" for j in range(doc.n_dims + 1))]
+    lambdas = np.array(scan.lambdas)
+    table = np.column_stack([lambdas.real, lambdas.imag, scan.degrees, scan.min_abs_pi])
+    text = ",".join(header) + "\n" + _fill_rows(",".join(["%.17g"] * len(header)) + "\n", table)
     if ns.out_file:
-        with open(ns.out_file, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {ns.out_file}")
+        _write_text(ns.out_file, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -404,7 +401,7 @@ def main(argv=None) -> int:
     try:
         ns = parser.parse_args(_merge_lambda_values(list(argv)))
         return ns.fn(ns)
-    except (_UsageError, DocumentFormatError, NonFiniteError, OSError) as exc:
+    except (_UsageError, DocumentFormatError, NonFiniteError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -26,7 +26,6 @@ round-trip bit-faithfully; complex numbers are written as [re, im] pairs.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -270,35 +269,28 @@ def document_to_json(doc: OperatorDocument) -> str:
     return dumps17(document_to_dict(doc), indent=2)
 
 
-def _format_float(x: float) -> str:
-    if math.isnan(x):
-        return "null"
-    if math.isinf(x):
-        return "null"
-    return format(x, ".17g")
+def _fill(template: str, values) -> str:
+    """`template` % values, with every NaN/inf written as null."""
+    text = template % tuple(values)
+    return text.replace("-inf", "null").replace("inf", "null").replace("nan", "null")
 
 
 def dumps17(obj, indent: int | None = None, _level: int = 0) -> str:
     """JSON text with floats at 17 significant digits.
 
-    Complex numbers are encoded as [re, im]; NaN/inf become null.
+    Complex numbers are encoded as [re, im]; NaN/inf become null.  A 1-D
+    float or complex numpy array is written like the list of its values,
+    with all of them formatted in one ``%`` fill.
     """
     pad = "" if indent is None else "\n" + " " * (indent * (_level + 1))
     end_pad = "" if indent is None else "\n" + " " * (indent * _level)
-    sep = "," if indent is None else ","
 
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _format_float(obj)
-    if isinstance(obj, complex):
-        return f"[{_format_float(obj.real)}{sep} {_format_float(obj.imag)}]"
-    if isinstance(obj, str):
+    if obj is None or isinstance(obj, (bool, int, str)):
         return json.dumps(obj)
+    if isinstance(obj, float):
+        return _fill("%.17g", (obj,))
+    if isinstance(obj, complex):
+        return _fill("[%.17g, %.17g]", (obj.real, obj.imag))
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -306,13 +298,16 @@ def dumps17(obj, indent: int | None = None, _level: int = 0) -> str:
             f"{pad}{json.dumps(str(k))}: {dumps17(v, indent, _level + 1)}"
             for k, v in obj.items()
         ]
-        return "{" + sep.join(items) + end_pad + "}"
-    if isinstance(obj, (list, tuple)):
+        return "{" + ",".join(items) + end_pad + "}"
+    if isinstance(obj, (list, tuple, np.ndarray)):
         if not len(obj):
             return "[]"
+        if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind in "fc":
+            item, values = "%.17g", obj
+            if obj.dtype.kind == "c":
+                item, values = "[%.17g, %.17g]", np.column_stack((obj.real, obj.imag))
+            items = ((pad + item + ",") * len(obj))[:-1]
+            return "[" + _fill(items, values.ravel().tolist()) + end_pad + "]"
         items = [f"{pad}{dumps17(v, indent, _level + 1)}" for v in obj]
-        return "[" + sep.join(items) + end_pad + "]"
-    # numpy scalars and similar
-    if hasattr(obj, "item"):
-        return dumps17(obj.item(), indent, _level)
+        return "[" + ",".join(items) + end_pad + "]"
     raise TypeError(f"cannot serialize {type(obj)!r}")

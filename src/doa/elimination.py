@@ -49,6 +49,7 @@ __all__ = [
     "EliminationOutcome",
     "NonInvertibleError",
     "NonFiniteError",
+    "require_finite",
     "eliminate",
     "determinant",
     "inverse",
@@ -120,12 +121,17 @@ class NonInvertibleError(ValueError):
         self.outcome = outcome
 
 
-def _step_check(pi: MatrixField, zero_tol: float, step: int):
-    vals = np.abs(pi.data[..., 0, 0])
-    finite = np.isfinite(vals)
+def require_finite(name: str, values: np.ndarray):
+    """Raise NonFiniteError naming the first node where `values` is NaN or inf."""
+    finite = np.isfinite(values)
     if not finite.all():
         node = tuple(int(i) for i in np.argwhere(~finite)[0])
-        raise NonFiniteError(f"pi_{step} is not finite at node {node}")
+        raise NonFiniteError(f"{name} is not finite at node {node}")
+
+
+def _step_check(pi: MatrixField, zero_tol: float, step: int):
+    vals = np.abs(pi.data[..., 0, 0])
+    require_finite(f"pi_{step}", vals)
     node = np.unravel_index(int(np.argmin(vals)), vals.shape)
     min_abs = float(vals[node])
     max_abs = float(vals.max())

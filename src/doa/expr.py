@@ -8,8 +8,8 @@ Grammar (whitespace-insensitive, left-associative binary operators):
     base   := NUMBER | 'pi' | 'lambda' | COORD | FUNC '(' expr ')' | '(' expr ')'
     COORD  := 'k' DIGITS                  (1-based coordinate index)
     FUNC   := sin | cos | exp | sqrt
-    NUMBER := decimal or scientific literal, with an optional trailing 'i'
-              for a purely imaginary value (e.g. "2i", "1.5e-3i")
+    NUMBER := decimal or scientific literal in ASCII digits, with an optional
+              trailing 'i' for a purely imaginary value (e.g. "2i", "1.5e-3i")
     INT    := DIGITS                      (unsigned integer exponent)
 
 '^' binds tighter than unary minus, so "-k1^2" means -(k1^2).
@@ -141,8 +141,13 @@ def walk(tree: FieldExpr):
             yield from walk(child)
 
 
-_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?i?")
+_NUMBER_RE = re.compile(r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?i?")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+
+
+def _is_digit(c: str) -> bool:
+    # ASCII only: str.isdigit and \d also accept other scripts' digits
+    return "0" <= c <= "9"
 
 
 @dataclass(frozen=True)
@@ -165,7 +170,7 @@ def _tokenize(text: str) -> list[_Token]:
             out.append(_Token(c, c, i))
             i += 1
             continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
+        if _is_digit(c) or (c == "." and i + 1 < n and _is_digit(text[i + 1])):
             m = _NUMBER_RE.match(text, i)
             if m is None or (m.end() < n and text[m.end()] == "."):
                 raise ExprSyntaxError("malformed number", i)
@@ -245,7 +250,7 @@ class _Parser:
         if self.peek().kind == "^":
             caret = self.advance()
             num = self.peek()
-            if num.kind != "NUM" or not num.text.isdigit():
+            if num.kind != "NUM" or not all(map(_is_digit, num.text)):
                 raise ExprSyntaxError("expected unsigned integer exponent", num.pos)
             self.advance()
             node = Pow(node, int(num.text), caret.pos)

@@ -36,9 +36,11 @@ import numpy as np
 
 from .elimination import (
     DEFAULT_ZERO_TOL,
+    NonFiniteError,
     NonInvertible,
     NonInvertibleError,
     eliminate,
+    require_finite,
 )
 from .grid import MatrixField, ScalarComponents, integrate_first, pointwise_adjoint, pointwise_matmul
 from .operator import DefectOperator, add, compose, compress, identity_operator, pencil, scale
@@ -70,24 +72,31 @@ class VectorTrace(ScalarComponents):
     """Trace tuple (tau_0, ..., tau_N) on shrinking grids."""
 
 
+@np.errstate(all="ignore")  # a NaN/inf tau_j raises NonFiniteError instead
 def trace(op: DefectOperator) -> VectorTrace:
     """tau(op); absent levels contribute zero components."""
     spec = op.spec
-    comps = [
-        MatrixField(spec, np.trace(op.a0.data, axis1=-2, axis2=-1)[..., None, None])
-    ]
+    values = [np.trace(op.a0.data, axis1=-2, axis2=-1)]
     for j in range(1, op.n + 1):
-        trailing = spec.trailing(j)
         t = op.terms.get(j)
         if t is None:
-            comps.append(MatrixField.zeros(trailing, 1, 1))
+            values.append(np.zeros(spec.trailing(j).shape, dtype=np.complex128))
             continue
         prod_trace = np.einsum("...ij,...ji->...", t.b.data, t.a.data)
-        mean = prod_trace.mean(axis=tuple(range(j)))
-        comps.append(MatrixField(trailing, np.asarray(mean)[..., None, None]))
+        values.append(prod_trace.mean(axis=tuple(range(j))))
+    comps = []
+    for j, v in enumerate(values):
+        require_finite(f"tau_{j}", v)
+        comps.append(MatrixField(spec.trailing(j), np.asarray(v)[..., None, None]))
     return VectorTrace(tuple(comps))
 
 
+def _check_finite(what: str, *arrays):
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NonFiniteError(f"{what} is not finite")
+
+
+@np.errstate(all="ignore")  # a NaN/inf power raises NonFiniteError instead
 def power_traces(
     op: DefectOperator,
     n_max: int,
@@ -96,14 +105,18 @@ def power_traces(
     """[tau(op), tau(op^2), ..., tau(op^n_max)] via repeated composition.
 
     Powers are compressed between steps (default tol 1e-13, below all test
-    tolerances) to stop inner widths from growing geometrically.
+    tolerances) to stop inner widths from growing geometrically.  A power
+    with a NaN/inf entry raises NonFiniteError before it is compressed.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     out = [trace(op)]
     power = op
-    for _ in range(2, n_max + 1):
+    for n in range(2, n_max + 1):
         power = compose(power, op)
+        _check_finite(
+            f"A^{n}", power.a0.data, *(f.data for t in power.terms.values() for f in (t.a, t.b))
+        )
         if compress_tol is not None:
             power = compress(power, compress_tol)
         out.append(trace(power))
@@ -126,14 +139,17 @@ def _psd_sqrt(mats: np.ndarray) -> np.ndarray:
     return np.einsum("...ik,...k,...jk->...ij", v, np.sqrt(w), np.conj(v))
 
 
+@np.errstate(all="ignore")  # a NaN/inf norm raises NonFiniteError instead
 def trace_norm(op: DefectOperator) -> float:
     """Sum over levels of the largest per-node nuclear norm.
 
     Raises NumericalConsistencyError if some C_j eigenvalue has a real part
     below -1e-8 times the matrix scale (C_j is a product of two positive
-    semidefinite matrices, so its spectrum must be real nonnegative).
+    semidefinite matrices, so its spectrum must be real nonnegative), and
+    NonFiniteError if a nuclear norm overflows.
     """
     g0 = np.linalg.svd(op.a0.data, compute_uv=False).sum(axis=-1)
+    _check_finite("the trace norm", g0)
     total = float(np.max(g0))
     for j, t in op.terms.items():
         x = integrate_first(pointwise_matmul(t.b, pointwise_adjoint(t.b)), j).data
@@ -142,6 +158,7 @@ def trace_norm(op: DefectOperator) -> float:
         sym = np.matmul(np.matmul(xs, y), xs)
         sym = 0.5 * (sym + np.conj(np.swapaxes(sym, -1, -2)))
         eigs = np.linalg.eigvalsh(sym)
+        _check_finite("the trace norm", eigs)
         scale_ref = max(1.0, float(np.max(np.abs(eigs))) if eigs.size else 0.0)
         if eigs.size and float(np.min(eigs)) < -1e-8 * scale_ref:
             raise NumericalConsistencyError(

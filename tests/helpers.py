@@ -7,11 +7,15 @@ term coefficients so that every elimination step stays well away from zero
 `reference_evaluate` is the scalar, node-at-a-time expression evaluator
 built on Python's ``complex`` and ``cmath``, the reference the array
 evaluator `doa.expr.evaluate` is compared against.
+
+`reference_dumps17` is the value-at-a-time JSON writer, the reference the
+array writer `doa.document.dumps17` is compared against.
 """
 
 from __future__ import annotations
 
 import cmath
+import json
 import math
 
 import numpy as np
@@ -70,6 +74,46 @@ def reference_evaluate(tree, coords, symbols=None) -> complex:
             raise ExprEvalError("sqrt of negative real", tree.pos)
         return cmath.sqrt(value)
     raise TypeError(f"not an expression node: {tree!r}")
+
+
+def _reference_float(x: float) -> str:
+    return format(x, ".17g") if math.isfinite(x) else "null"
+
+
+def reference_dumps17(obj, indent: int | None = None, _level: int = 0) -> str:
+    """JSON text with floats at 17 significant digits, one value per call.
+
+    Complex numbers are encoded as [re, im]; NaN/inf become null.  Takes
+    lists, not arrays.
+    """
+    pad = "" if indent is None else "\n" + " " * (indent * (_level + 1))
+    end_pad = "" if indent is None else "\n" + " " * (indent * _level)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return _reference_float(obj)
+    if isinstance(obj, complex):
+        return f"[{_reference_float(obj.real)}, {_reference_float(obj.imag)}]"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            f"{pad}{json.dumps(str(k))}: {reference_dumps17(v, indent, _level + 1)}"
+            for k, v in obj.items()
+        ]
+        return "{" + ",".join(items) + end_pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [f"{pad}{reference_dumps17(v, indent, _level + 1)}" for v in obj]
+        return "[" + ",".join(items) + end_pad + "]"
+    raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def random_field(spec, rows, cols, rng, scale=1.0, complex_=True):

@@ -301,6 +301,51 @@ def test_out_file_golden_digest(tmp_path, capsys, command, doc, fmt, code, diges
         assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
 
+# an N = 3 averaging pencil on a 4x3x2 grid: the CSV rows of its components
+# carry 3, 2, 1 and 0 coordinate cells
+N3_PENCIL = {
+    "n_dims": 3,
+    "m": 1,
+    "grid": [4, 3, 2],
+    "a0": [["lambda"]],
+    "terms": [
+        {
+            "level": 1,
+            "a": [["1", "sqrt(2)*sin(2*pi*k1)*(1+cos(2*pi*k2)/2)*(1+sin(2*pi*k3)/3)"]],
+            "b": [["1"], ["sqrt(2)*sin(2*pi*k1)*(1+cos(2*pi*k2)/2)*(1+sin(2*pi*k3)/3)"]],
+        },
+        {"level": 2, "a": [["1", "cos(2*pi*k2)*k3"]], "b": [["1"], ["k2+k3"]]},
+        {"level": 3, "a": [["1"]], "b": [["1"]]},
+    ],
+}
+
+GOLDEN_N3 = [
+    ("det", "json", "154eb3fbeb7ad35c2a0da5eb05a6e38f9c4ad9c8021d03ff34641ff93902f9b1"),
+    ("det", "csv", "96b5a52969198fa170238b924c9952da9623c0115393db1ceb3cb22b4ef11604"),
+    ("trace", "json", "f79e2d2ac849448d556b7d4f5d00d9133d8017a4c1138becab3c56a9fd166780"),
+    ("trace", "csv", "80a16e007939cc1e062ade246ef3ed4b114ce013ca01cff3898bdcd8ecb621f0"),
+]
+
+
+@pytest.mark.parametrize("command,fmt,digest", GOLDEN_N3)
+def test_out_file_golden_digest_n3(tmp_path, capsys, command, fmt, digest):
+    doc = tmp_path / "n3.json"
+    doc.write_text(json.dumps(N3_PENCIL))
+    out_file = tmp_path / f"out.{fmt}"
+    argv = [command, str(doc), "--lambda", "2,0.5", "--out", fmt, "--out-file", str(out_file)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+
+
+def test_spectrum_golden_digest(tmp_path):
+    # a complex window whose rows hold degrees 0..3 and NaN minima
+    out_file = tmp_path / "scan.csv"
+    argv = ["spectrum", OPERATOR, "--re-min", "-3", "--re-max", "1", "--im-min", "-0.5", "--im-max", "0.5"]
+    assert main(argv + ["--samples", "41,3", "--out-file", str(out_file)]) == 0
+    digest = "040d726f14c047b7049c5f1bf49f787003f7c8f1c51e085b06b3043eb091be3f"
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize(
     "entry,grid,message",
     [
@@ -337,3 +382,44 @@ def test_non_finite_determinant_exit_one(tmp_path, capsys):
     doc.write_text(json.dumps({"n_dims": 1, "m": 2, "grid": [2], "a0": a0}))
     assert main(["det", str(doc)]) == 1
     assert capsys.readouterr().err.startswith("error: pi_0 is not finite at node (0,)")
+
+
+def _overflow_doc(tmp_path, entry: str) -> str:
+    # finite entries whose trace, trace norm or square overflow
+    doc = tmp_path / "overflow.json"
+    term = {"level": 1, "a": [[entry]], "b": [[entry]]}
+    doc.write_text(json.dumps({"n_dims": 1, "m": 1, "grid": [3], "a0": [["1"]], "terms": [term]}))
+    return str(doc)
+
+
+@pytest.mark.parametrize(
+    "command,entry,message",
+    [
+        ("trace", "1e200", "tau_1 is not finite at node ()"),
+        ("trace-norm", "1e200", "the trace norm is not finite"),
+        ("trace-norm", "1e120", "the trace norm is not finite"),
+        ("power-traces", "1e200", "tau_1 is not finite at node ()"),
+        ("power-traces", "1e120", "A^2 is not finite"),
+    ],
+)
+def test_non_finite_functional_exit_one(tmp_path, capsys, command, entry, message):
+    out_file = tmp_path / "out.json"
+    argv = [command, _overflow_doc(tmp_path, entry)]
+    if command != "trace-norm":
+        argv += ["--out-file", str(out_file)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out_file.exists()
+
+
+def test_unallocatable_grid_exit_one(tmp_path, capsys):
+    # 10**16 nodes (80 PB of float64) exceed any 64-bit address space
+    doc = tmp_path / "huge.json"
+    doc.write_text(json.dumps({"n_dims": 1, "m": 1, "grid": [10**16], "a0": [["1"]]}))
+    assert main(["det", str(doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err

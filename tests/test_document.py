@@ -24,6 +24,7 @@ from doa.document import (
     uses_lambda,
 )
 from doa.grid import GridSpec
+from helpers import reference_dumps17
 
 DOCS = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
@@ -112,6 +113,31 @@ def test_dumps17_floats_and_complex():
 
 def test_dumps17_nan_becomes_null():
     assert json.loads(dumps17([float("nan"), 1.0])) == [None, 1.0]
+
+
+# edge values of the %.17g fill: signed zeros, the smallest subnormal, the
+# largest finite, non-terminating binary, integral floats, NaN and inf
+EDGE_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, -0.1, 3.0, -2.0, 1e16, 2.0**53]
+    + [float("nan"), float("inf"), float("-inf")]
+) | st.floats()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(EDGE_FLOATS, EDGE_FLOATS), max_size=10),
+    st.sampled_from([None, 0, 2]),
+)
+def test_dumps17_arrays_match_reference(parts, indent):
+    # an array is written in one fill, exactly as the value-at-a-time writer
+    # writes the list of its values, at any nesting level
+    complexes = np.array([complex(re, im) for re, im in parts], dtype=np.complex128)
+    reals = np.array([re for re, _ in parts], dtype=np.float64)
+    for arr in (complexes, reals):
+        assert dumps17(arr, indent) == reference_dumps17(arr.tolist(), indent)
+        doc = {"values": arr, "n": [1, {"x": arr}]}
+        want = {"values": arr.tolist(), "n": [1, {"x": arr.tolist()}]}
+        assert dumps17(doc, indent) == reference_dumps17(want, indent)
 
 
 SCHEMA_FILE = Path(__file__).resolve().parent.parent / "docs" / "operator_document.schema.json"

@@ -121,6 +121,11 @@ def test_complex_literal_suffix():
         ("1 @ 2", ExprSyntaxError),
         ("\u00c0", ExprSyntaxError),
         ("2*k\u00e9", ExprSyntaxError),
+        ("\u0663", ExprSyntaxError),  # Arabic-Indic three: NUMBER is ASCII
+        ("1\u0663", ExprSyntaxError),
+        ("\u00b2", ExprSyntaxError),
+        ("2^\u0663", ExprSyntaxError),
+        ("k1^\u00b2", ExprSyntaxError),
     ],
 )
 def test_syntax_errors(bad, kind):

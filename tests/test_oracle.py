@@ -18,7 +18,7 @@ from doa import (
     spectrum_scan,
 )
 from doa.grid import sample
-from doa.oracle import assemble, dense_inverse_check, dense_spectrum, unvec, vec
+from doa.oracle import DEFAULT_CAP, assemble, dense_inverse_check, dense_spectrum, unvec, vec
 from doa.reference import demo_operator
 from helpers import grid66, random_operator, random_state
 
@@ -79,21 +79,53 @@ def test_assemble_is_algebra_homomorphism():
     assert np.max(np.abs(assemble(adjoint(a)).matrix - da.conj().T)) < 1e-12
 
 
-def test_dense_determinant_equals_product_of_pi_fibers():
-    # det(assemble) = prod over j and trailing nodes of pi_j: compare in
-    # log-modulus and phase
-    rng = np.random.default_rng(3)
-    op = random_operator(GridSpec((4, 4)), 2, rng)
+def _log_det_mismatch(op) -> tuple[float, float]:
+    """det(assemble) against the product over j and trailing nodes of pi_j,
+    as (log-modulus error, phase error)."""
     out = eliminate(op)
     sign, logabs = np.linalg.slogdet(assemble(op).matrix)
     want_log = 0.0
     want_phase = 1.0 + 0j
-    for j in range(3):
+    for j in range(op.n + 1):
         vals = out.pi.values(j).ravel()
         want_log += float(np.sum(np.log(np.abs(vals))))
         want_phase *= complex(np.prod(vals / np.abs(vals)))
-    assert abs(logabs - want_log) < 1e-8
-    assert abs(sign - want_phase) < 1e-8
+    return abs(logabs - want_log), abs(sign - want_phase)
+
+
+def test_dense_determinant_equals_product_of_pi_fibers():
+    # compare in log-modulus and phase
+    rng = np.random.default_rng(3)
+    op = random_operator(GridSpec((4, 4)), 2, rng)
+    log_err, phase_err = _log_det_mismatch(op)
+    assert log_err < 1e-8
+    assert phase_err < 1e-8
+
+
+# (grid, M, per-level widths); width 0 leaves the level out
+DET_SHAPES = [
+    ((5,), 1, (0,)),
+    ((4,), 2, (3,)),
+    ((4,), 3, (1,)),
+    ((3, 4), 2, (2, 2)),
+    ((3, 2), 1, (3, 3)),
+    ((4, 3), 3, (0, 2)),
+    ((2, 3, 2), 3, (2, 2, 2)),
+    ((3, 2, 2), 2, (1, 0, 3)),
+    ((2, 2, 2, 2), 1, (1, 1, 1, 1)),
+    ((2, 2, 2, 2), 2, (2, 0, 1, 3)),
+]
+
+
+@pytest.mark.parametrize("grid,m,widths", DET_SHAPES)
+def test_dense_determinant_across_shapes(grid, m, widths):
+    rng = np.random.default_rng(len(grid) * 10 + m)
+    op = random_operator(GridSpec(grid), m, rng, widths=dict(enumerate(widths, start=1)))
+    assert op.spec.num_nodes * m <= DEFAULT_CAP
+    assert sorted(op.terms) == [j for j, w in enumerate(widths, start=1) if w]
+    log_err, phase_err = _log_det_mismatch(op)
+    assert log_err < 1e-12
+    assert phase_err < 1e-12
 
 
 def test_demo_dense_spectrum():
