@@ -60,7 +60,6 @@ from .functional import (
     exp_operator,
     iso_check,
     log_det_series,
-    power_trace,
     power_traces,
     spectrum_scan,
     trace,

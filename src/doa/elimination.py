@@ -36,6 +36,7 @@ from .grid import MatrixField, ScalarComponents, integrate_first, lift, pointwis
 from .operator import (
     DefectOperator,
     compose,
+    compress,
     elementary_factor,
     identity_operator,
     multiplication_operator,
@@ -216,7 +217,9 @@ def inverse(op: DefectOperator, zero_tol: float = DEFAULT_ZERO_TOL) -> DefectOpe
     """The inverse operator, in canonical form.
 
     Built as the reversed product of elementary inverses
-    (I - A_{j,j-1} E_j^{-1} <B_j .>_j) applied after A0^{-1}.
+    (I - A_{j,j-1} E_j^{-1} <B_j .>_j) applied after A0^{-1}, then
+    compressed with tol = 0, so its inner widths are minimal up to
+    round-off instead of growing with every product.
     """
     outcome = _require_invertible(op, zero_tol)
     acc = multiplication_operator(outcome.a0_inv)
@@ -226,7 +229,7 @@ def inverse(op: DefectOperator, zero_tol: float = DEFAULT_ZERO_TOL) -> DefectOpe
         a_neg = pointwise_scale(-1.0, pointwise_matmul(step.a_left, lift(step.e_inv, op.spec)))
         elem = elementary_factor(step.level, a_neg, op.terms[step.level].b)
         acc = compose(elem, acc)
-    return acc
+    return compress(acc, 0.0)
 
 
 def factorize(op: DefectOperator, zero_tol: float = DEFAULT_ZERO_TOL) -> list[DefectOperator]:

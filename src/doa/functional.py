@@ -51,7 +51,6 @@ __all__ = [
     "LogDetSeries",
     "NumericalConsistencyError",
     "trace",
-    "power_trace",
     "power_traces",
     "trace_norm",
     "log_det_series",
@@ -121,15 +120,6 @@ def power_traces(
             power = compress(power, compress_tol)
         out.append(trace(power))
     return out
-
-
-def power_trace(
-    op: DefectOperator,
-    n: int,
-    compress_tol: float | None = DEFAULT_COMPRESS_TOL,
-) -> VectorTrace:
-    """tau(op^n)."""
-    return power_traces(op, n, compress_tol)[-1]
 
 
 def _psd_sqrt(mats: np.ndarray) -> np.ndarray:

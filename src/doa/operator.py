@@ -263,69 +263,52 @@ def adjoint(a: DefectOperator) -> DefectOperator:
     return DefectOperator(pointwise_adjoint(a.a0), terms)
 
 
-def _spectral_norms(stacked: np.ndarray) -> np.ndarray:
-    # stacked: (nodes, r, c); per-node largest singular value
-    return np.linalg.svd(stacked, compute_uv=False)[..., 0]
-
-
 def _compress_term(t: Term, budget: float) -> Term | None:
-    """Shrink a term's width; induced-map change stays below `budget`.
-
-    Two rank-revealing passes: first on the column space of the stacked
-    A-blocks, then on the row space of the (reduced) stacked B-blocks.
-    Per-node spectral norms bound the map perturbation by
-    sigma_dropped(A-side) * max||B|| + max||A|| * sigma_dropped(B-side),
-    so each pass gets half the budget.  budget = 0 removes only rank
-    deficiency at round-off level.
-    """
+    """The term truncated to the core singular values above
+    max(budget, round-off floor); None when none is left."""
     spec = t.a.spec
-    nn = spec.num_nodes
-    m_out, w = t.a.rows, t.width
-    a = t.a.data.reshape(nn, m_out, w)
-    b = t.b.data.reshape(nn, w, m_out)
-
-    max_b = float(np.max(_spectral_norms(b)))
-    max_a = float(np.max(_spectral_norms(a)))
-    if max_a == 0.0 or max_b == 0.0:
+    m, w = t.a.rows, t.width
+    rows = spec.num_nodes * m
+    q_a, r_a = np.linalg.qr(t.a.data.reshape(rows, w))
+    q_b, r_b = np.linalg.qr(pointwise_adjoint(t.b).data.reshape(rows, w))
+    u, s, vh = np.linalg.svd(r_a @ r_b.conj().T, full_matrices=False)
+    floor = np.linalg.norm(r_a) * np.linalg.norm(r_b) * max(rows, w) * np.finfo(float).eps
+    k = int(np.sum(s > max(budget, floor)))
+    if k == 0:
         return None
-
-    def cutoff(singulars: np.ndarray, half_budget: float, scale_ref: float) -> int:
-        if singulars.size == 0 or singulars[0] == 0.0:
-            return 0
-        # rank deficiency of the pair can surface in this pass at round-off
-        # level relative to the side's original scale, not its reduced one
-        ref = max(float(singulars[0]), scale_ref)
-        floor = ref * max(singulars.shape[0], nn * m_out) * np.finfo(float).eps
-        thr = max(half_budget, floor)
-        return int(np.sum(singulars > thr))
-
-    stacked_a = a.reshape(nn * m_out, w)
-    _, s1, vh1 = np.linalg.svd(stacked_a, full_matrices=False)
-    k1 = cutoff(s1, 0.5 * budget / max_b, 0.0)
-    if k1 == 0:
-        return None
-    a1 = np.matmul(a, vh1[:k1].conj().T)
-    b1 = np.matmul(vh1[:k1], b)
-
-    max_a1 = float(np.max(_spectral_norms(a1)))
-    stacked_b = np.moveaxis(b1, 0, 1).reshape(k1, nn * m_out)
-    u2, s2, _ = np.linalg.svd(stacked_b, full_matrices=False)
-    k2 = cutoff(s2, 0.5 * budget / max_a1 if max_a1 > 0 else 0.0, max_b)
-    if k2 == 0:
-        return None
-    b2 = np.matmul(u2[:, :k2].conj().T, b1)
-    a2 = np.matmul(a1, u2[:, :k2])
-
-    shape = spec.shape
-    return Term(
-        MatrixField(spec, a2.reshape(shape + (m_out, k2))),
-        MatrixField(spec, b2.reshape(shape + (k2, m_out))),
-    )
+    a = (q_a @ (u[:, :k] * s[:k])).reshape(spec.shape + (m, k))
+    b_adj = (q_b @ vh[:k].conj().T).reshape(spec.shape + (m, k))
+    return Term(MatrixField(spec, a), pointwise_adjoint(MatrixField(spec, b_adj)))
 
 
 def compress(a: DefectOperator, tol: float = 0.0) -> DefectOperator:
     """Reduce all inner widths; the map changes by at most `tol` in the
-    discrete operator norm (`tol = 0` removes only exact rank deficiency)."""
+    discrete operator norm (`tol = 0` removes only exact rank deficiency).
+
+    Each level is truncated once.  Stack the term's per-node blocks into
+    A and B*, both (nodes*M) x w, and take thin QRs A = Q_A R_A and
+    B* = Q_B R_B.  The stacked kernel K, whose (k, k') block is
+    A(k) B(k'), is then Q_A C Q_B* with the small core C = R_A R_B*.
+    With C = U S V*, keeping the k largest singular values gives
+    A' = Q_A U_k S_k and B' = (Q_B V_k)*, so K - K' = Q_A (C - C_k) Q_B*.
+    Q_A and Q_B have orthonormal columns, hence ||K - K'||_2 = s_{k+1}
+    and every kernel block A(k)B(k') moves by at most s_{k+1}.
+
+    Level j maps u to A(k) <B u>_j.  On one fibre of
+    P = prod(points_per_dim[:j]) nodes sharing the trailing coordinates
+    that map is the fibre's principal block of K divided by P, and the
+    weights are uniform, so the level's map moves by at most
+    s_{k+1} / P in operator norm.  Every level drops only the s_i at or
+    below tol / (number of levels), so the total change is at most tol.
+    The 1/P slack is deliberately not used: one threshold serves every
+    level of every grid, and the kernel blocks themselves stay within it.
+
+    Singular values below the round-off floor
+    eps * max(nodes*M, w) * ||R_A||_F * ||R_B||_F are dropped whatever
+    the tolerance.  The floor scales with the factors, not with the core:
+    when pairs cancel (a + (-a)) the whole core is round-off, and its s_1
+    says nothing about the size of that round-off.
+    """
     if tol < 0:
         raise ValueError("tol must be >= 0")
     active = len(a.terms)

@@ -150,6 +150,20 @@ def random_operator(
     return DefectOperator(a0, terms)
 
 
+# (grid, M, widths by level) swept by the dense checks of compress, inverse
+# and power traces; None puts width 1 on every level.  Each test draws its
+# operators from default_rng(sum(grid) * 10 + M).
+SHAPES = [
+    ((6,), 1, {1: 2}),
+    ((3, 4), 2, {1: 2, 2: 2}),
+    ((2, 3, 2), 3, {1: 2, 3: 3}),
+    ((2, 2, 2, 2), 1, {1: 1, 2: 3, 3: 2, 4: 1}),
+    ((4, 3), 2, {1: 3, 2: 1}),
+    ((6, 6), 2, None),
+]
+SHAPE_IDS = ["x".join(map(str, grid)) + f"-M{m}" for grid, m, _ in SHAPES]
+
+
 def random_state(spec, m, rng, complex_=True):
     vals = rng.standard_normal(spec.shape + (m,))
     if complex_:

@@ -275,14 +275,14 @@ GOLDEN = [
     ("det", "averaging_operator", "csv", 2, None),
     ("trace", "averaging_operator", "json", 0, "b1d0ea7c7640ef2c3d5204950b6aff4dbc101ce42d90172242ddb2a417de7866"),
     ("trace", "averaging_operator", "csv", 0, "bfb5204cc417a1369dd8f8e75a82fd62d2a065bf27c91cc4ecbe0a63457e2cdf"),
-    ("power-traces", "averaging_operator", "json", 0, "63507c2c570908c4a07b4ce4d66c53c722f4e77b8c1c35d722fa4274e85ceee0"),
-    ("power-traces", "averaging_operator", "csv", 0, "2a887cdafba3b2506d7447a2dc822a3706e350bbecd97cff29a162b1211b0321"),
+    ("power-traces", "averaging_operator", "json", 0, "20530959478fd149063ec79a96023be330e57f365dd0fbd45f9ef17102306a0a"),
+    ("power-traces", "averaging_operator", "csv", 0, "4e078108ba36a5b2e3f6dc620b3fa3d2ec2494d725651299587075a7e13c6742"),
     ("det", "averaging_pencil", "json", 0, "a545e4ff298c1942c807b0d9d16c595a18facc546c5f04d77dcddac429920b69"),
     ("det", "averaging_pencil", "csv", 0, "9adbfed54101d7b366979c7519169c894a1e4739c29f32fc0731fb8e9686f057"),
     ("trace", "averaging_pencil", "json", 0, "0e27da8b737478fddde610c8ce08ec77739c59c93cdf9d144dd81be0c3256170"),
     ("trace", "averaging_pencil", "csv", 0, "af60cf144cfd3e9685ee39298a61e7f390929fdb8bde23e013344370c8d6f26c"),
-    ("power-traces", "averaging_pencil", "json", 0, "6fd49a19a454fa4436df292ddfc150fc8ff72712ae5980833a877fa1cdec9d2b"),
-    ("power-traces", "averaging_pencil", "csv", 0, "d5cc36ada14a24a0b82dfb8265723333a9f1fd16ab40089bd03b6f1a660b053f"),
+    ("power-traces", "averaging_pencil", "json", 0, "951e0753646779bdf9d19fba8bdb5b9fc834ab7089d104763a729ef1a117f377"),
+    ("power-traces", "averaging_pencil", "csv", 0, "8cf90007778946f771f63d40eed26fd614572df6da270041ebe4db4d302058d2"),
 ]
 
 

@@ -30,8 +30,9 @@ from doa import (
     state_norm,
 )
 from doa.grid import integrate_first, pointwise_det, pointwise_matmul, sample
+from doa.oracle import dense_inverse_check
 from doa.reference import apply_demo_resolvent, demo_determinant, demo_operator
-from helpers import grid66, random_field, random_operator, random_state
+from helpers import SHAPE_IDS, SHAPES, grid66, random_field, random_operator, random_state
 
 
 def test_identity_determinant_is_all_ones():
@@ -185,6 +186,16 @@ def test_inverse_both_sides():
         eye = identity_operator(spec, 2)
         assert equal_as_map(compose(op, inv), eye, 1e-10)
         assert equal_as_map(compose(inv, op), eye, 1e-10)
+
+
+@pytest.mark.parametrize("grid,m,widths", SHAPES, ids=SHAPE_IDS)
+def test_inverse_widths_are_minimal(grid, m, widths):
+    op = random_operator(GridSpec(grid), m, np.random.default_rng(sum(grid) * 10 + m), widths)
+    inv = inverse(op)
+    again = compress(inv, 0.0)
+    levels = range(1, op.n + 1)
+    assert [inv.width(j) for j in levels] == [again.width(j) for j in levels]
+    assert dense_inverse_check(op) < 1e-9
 
 
 def test_demo_resolvent_closed_form():

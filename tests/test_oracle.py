@@ -15,12 +15,13 @@ from doa import (
     eliminate,
     identity_operator,
     pencil,
+    power_traces,
     spectrum_scan,
 )
 from doa.grid import sample
 from doa.oracle import DEFAULT_CAP, assemble, dense_inverse_check, dense_spectrum, unvec, vec
 from doa.reference import demo_operator
-from helpers import grid66, random_operator, random_state
+from helpers import SHAPE_IDS, SHAPES, grid66, random_operator, random_state
 
 
 def test_assemble_identity():
@@ -155,6 +156,19 @@ def test_dense_degree_zero_set_equivalence():
         dense = assemble(pencil(lam, op)).matrix
         near_zero = abs(np.linalg.det(dense)) < 1e-8
         assert near_zero == (deg <= 2)
+
+
+@pytest.mark.parametrize("grid,m,widths", SHAPES, ids=SHAPE_IDS)
+def test_power_traces_match_dense_trace(grid, m, widths):
+    # summed over components and nodes, tau(A^n) is Tr D^n of the dense matrix
+    op = random_operator(GridSpec(grid), m, np.random.default_rng(sum(grid) * 10 + m), widths)
+    dense = assemble(op).matrix
+    power = np.eye(dense.shape[0])
+    for tau in power_traces(op, 40):
+        power = power @ dense
+        want = np.trace(power)
+        got = sum(f.data.sum() for f in tau.fields)
+        assert abs(got - want) <= 1e-11 * max(1.0, abs(want))
 
 
 def test_dense_inverse_check_identity():
