@@ -54,11 +54,9 @@ from .elimination import (
 )
 from .functional import (
     LogDetSeries,
-    NumericalConsistencyError,
     SpectrumScan,
     VectorTrace,
     exp_operator,
-    iso_check,
     log_det_series,
     power_traces,
     spectrum_scan,

@@ -32,7 +32,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import MatrixField, ScalarComponents, integrate_first, lift, pointwise_det, pointwise_matmul, pointwise_scale
+from .grid import (
+    MatrixField,
+    NonFiniteError,
+    ScalarComponents,
+    integrate_first,
+    lift,
+    pointwise_det,
+    pointwise_matmul,
+    pointwise_scale,
+    require_finite,
+)
 from .operator import (
     DefectOperator,
     compose,
@@ -107,10 +117,6 @@ class NonInvertible:
 EliminationOutcome = Invertible | NonInvertible
 
 
-class NonFiniteError(ValueError):
-    """Some pi_j is NaN or infinite, so no invertibility verdict exists."""
-
-
 class NonInvertibleError(ValueError):
     """Raised by operations that require an invertible operator."""
 
@@ -120,14 +126,6 @@ class NonInvertibleError(ValueError):
             f"(min |pi| = {outcome.min_abs_pi:.3e} at node {outcome.witness_node})"
         )
         self.outcome = outcome
-
-
-def require_finite(name: str, values: np.ndarray):
-    """Raise NonFiniteError naming the first node where `values` is NaN or inf."""
-    finite = np.isfinite(values)
-    if not finite.all():
-        node = tuple(int(i) for i in np.argwhere(~finite)[0])
-        raise NonFiniteError(f"{name} is not finite at node {node}")
 
 
 def _step_check(pi: MatrixField, zero_tol: float, step: int):

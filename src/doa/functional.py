@@ -6,11 +6,12 @@ The trace of a canonical-form operator is the tuple
 
 component j living on the trailing N - j coordinates.  It is linear, cyclic
 (tau(ab) = tau(ba)) and equals the derivative of the vector determinant at
-the identity.  The trace norm sums, over levels, the largest per-node
-nuclear norm: for level 0 the nuclear norm of A0(k); for level j >= 1 the
-sum of square roots of the eigenvalues of C_j = <B_j B_j*>_j <A_j* A_j>_j,
-a product of two positive semidefinite matrices whose spectrum is real and
-nonnegative.  It dominates the operator norm and is submultiplicative.
+the identity.  The trace norm sums, over levels, the largest nuclear norm
+of the level's blocks: A0(k) over nodes k for level 0, and A_j[t] B_j[t] / P
+over fibres t of P = n_1*...*n_j nodes for level j >= 1
+(`operator.fibre_stacks`).  With thin QRs A_j[t] = Q_A R_A and
+B_j[t]* = Q_B R_B the latter is the sum of the singular values of the small
+core R_A R_B* / P.  It dominates the operator norm and is submultiplicative.
 
 For |lam| > trace_norm(op) the component-wise principal logarithm of the
 determinant of lam*I - op matches the power-trace series
@@ -34,37 +35,34 @@ from typing import Callable
 
 import numpy as np
 
-from .elimination import (
-    DEFAULT_ZERO_TOL,
-    NonFiniteError,
-    NonInvertible,
-    NonInvertibleError,
-    eliminate,
-    require_finite,
+from .elimination import DEFAULT_ZERO_TOL, NonInvertible, NonInvertibleError, eliminate
+from .grid import MatrixField, NonFiniteError, ScalarComponents, require_finite
+from .operator import (
+    DefectOperator,
+    add,
+    compose,
+    compress,
+    fibre_stacks,
+    identity_operator,
+    pencil,
+    scale,
 )
-from .grid import MatrixField, ScalarComponents, integrate_first, pointwise_adjoint, pointwise_matmul
-from .operator import DefectOperator, add, compose, compress, identity_operator, pencil, scale
 
 __all__ = [
     "VectorTrace",
     "SpectrumScan",
     "LogDetSeries",
-    "NumericalConsistencyError",
     "trace",
     "power_traces",
     "trace_norm",
     "log_det_series",
     "spectrum_scan",
-    "iso_check",
     "exp_operator",
     "DEFAULT_COMPRESS_TOL",
 ]
 
 DEFAULT_COMPRESS_TOL = 1e-13
-
-
-class NumericalConsistencyError(ArithmeticError):
-    """A quantity that must be real nonnegative came out significantly negative."""
+_EXP_MAX_TERMS = 60  # series terms summed by exp_operator at most
 
 
 class VectorTrace(ScalarComponents):
@@ -99,7 +97,7 @@ def _check_finite(what: str, *arrays):
 def power_traces(
     op: DefectOperator,
     n_max: int,
-    compress_tol: float | None = DEFAULT_COMPRESS_TOL,
+    compress_tol: float = DEFAULT_COMPRESS_TOL,
 ) -> list[VectorTrace]:
     """[tau(op), tau(op^2), ..., tau(op^n_max)] via repeated composition.
 
@@ -116,47 +114,32 @@ def power_traces(
         _check_finite(
             f"A^{n}", power.a0.data, *(f.data for t in power.terms.values() for f in (t.a, t.b))
         )
-        if compress_tol is not None:
-            power = compress(power, compress_tol)
+        power = compress(power, compress_tol)
         out.append(trace(power))
     return out
 
 
-def _psd_sqrt(mats: np.ndarray) -> np.ndarray:
-    herm = 0.5 * (mats + np.conj(np.swapaxes(mats, -1, -2)))
-    w, v = np.linalg.eigh(herm)
-    w = np.clip(w, 0.0, None)
-    return np.einsum("...ik,...k,...jk->...ij", v, np.sqrt(w), np.conj(v))
-
-
 @np.errstate(all="ignore")  # a NaN/inf norm raises NonFiniteError instead
 def trace_norm(op: DefectOperator) -> float:
-    """Sum over levels of the largest per-node nuclear norm.
+    """Sum over levels of the largest nuclear norm of the level's blocks.
 
-    Raises NumericalConsistencyError if some C_j eigenvalue has a real part
-    below -1e-8 times the matrix scale (C_j is a product of two positive
-    semidefinite matrices, so its spectrum must be real nonnegative), and
-    NonFiniteError if a nuclear norm overflows.
+    Level 0 takes A0(k) over nodes k.  Level j >= 1 takes, over fibres t,
+    the sum of the singular values of R_A R_B* / P, with R_A and R_B the
+    triangular factors of A_j[t] and B_j[t]* (`fibre_stacks`); that sum is
+    the nuclear norm of A_j[t] B_j[t] / P.  Raises NonFiniteError if the
+    norm overflows.
     """
-    g0 = np.linalg.svd(op.a0.data, compute_uv=False).sum(axis=-1)
-    _check_finite("the trace norm", g0)
-    total = float(np.max(g0))
+    _check_finite("the trace norm", op.a0.data)
+    total = float(np.max(np.linalg.svd(op.a0.data, compute_uv=False).sum(axis=-1)))
     for j, t in op.terms.items():
-        x = integrate_first(pointwise_matmul(t.b, pointwise_adjoint(t.b)), j).data
-        y = integrate_first(pointwise_matmul(pointwise_adjoint(t.a), t.a), j).data
-        xs = _psd_sqrt(x)
-        sym = np.matmul(np.matmul(xs, y), xs)
-        sym = 0.5 * (sym + np.conj(np.swapaxes(sym, -1, -2)))
-        eigs = np.linalg.eigvalsh(sym)
-        _check_finite("the trace norm", eigs)
-        scale_ref = max(1.0, float(np.max(np.abs(eigs))) if eigs.size else 0.0)
-        if eigs.size and float(np.min(eigs)) < -1e-8 * scale_ref:
-            raise NumericalConsistencyError(
-                f"level {j}: singular-value matrix has eigenvalue "
-                f"{float(np.min(eigs)):.3e} < 0"
-            )
-        g = np.sqrt(np.clip(eigs, 0.0, None)).sum(axis=-1)
-        total += float(np.max(g))
+        a, b = fibre_stacks(t, j)
+        nodes = a.shape[1] // op.m  # P, the nodes of one fibre
+        r_a = np.linalg.qr(a, mode="r")
+        r_b = np.linalg.qr(np.conj(np.swapaxes(b, -1, -2)), mode="r")
+        core = (r_a / nodes) @ np.conj(np.swapaxes(r_b, -1, -2))
+        _check_finite("the trace norm", core)
+        total += float(np.max(np.linalg.svd(core, compute_uv=False).sum(axis=-1)))
+    _check_finite("the trace norm", total)
     return total
 
 
@@ -253,29 +236,13 @@ def spectrum_scan(
     return SpectrumScan(lambdas, tuple(degrees), tuple(mins))
 
 
-def iso_check(
-    a: DefectOperator,
-    b: DefectOperator,
-    n_max: int,
-    tol: float,
-    compress_tol: float | None = DEFAULT_COMPRESS_TOL,
-) -> bool:
-    """True iff tau(a^n) = tau(b^n) componentwise/pointwise for n = 1..n_max."""
-    ta = power_traces(a, n_max, compress_tol)
-    tb = power_traces(b, n_max, compress_tol)
-    return all(x.max_abs_diff(y) <= tol for x, y in zip(ta, tb))
-
-
-def exp_operator(
-    op: DefectOperator,
-    compress_tol: float = DEFAULT_COMPRESS_TOL,
-    max_terms: int = 60,
-) -> DefectOperator:
+def exp_operator(op: DefectOperator) -> DefectOperator:
     """exp(op) by scaling and squaring over the operator product.
 
     The argument is scaled so its trace norm is at most 1/2, the series is
-    summed until the next term's trace norm is negligible, and the result
-    is squared back up with compression after every product.
+    summed (at most _EXP_MAX_TERMS terms) until the next term's trace norm
+    is negligible, and the result is squared back up with compression
+    (tol DEFAULT_COMPRESS_TOL) after every product.
     """
     tn = trace_norm(op)
     squarings = 0 if tn <= 0.5 else int(math.ceil(math.log2(tn / 0.5)))
@@ -283,11 +250,11 @@ def exp_operator(
 
     acc = add(identity_operator(op.spec, op.m), x)
     term = x
-    for k in range(2, max_terms + 1):
-        term = compress(scale(1.0 / k, compose(term, x)), compress_tol)
-        acc = compress(add(acc, term), compress_tol)
+    for k in range(2, _EXP_MAX_TERMS + 1):
+        term = compress(scale(1.0 / k, compose(term, x)), DEFAULT_COMPRESS_TOL)
+        acc = compress(add(acc, term), DEFAULT_COMPRESS_TOL)
         if trace_norm(term) < 1e-17 * max(1.0, trace_norm(acc)):
             break
     for _ in range(squarings):
-        acc = compress(compose(acc, acc), compress_tol)
+        acc = compress(compose(acc, acc), DEFAULT_COMPRESS_TOL)
     return acc

@@ -38,6 +38,8 @@ __all__ = [
     "pointwise_adjoint",
     "pointwise_det",
     "max_abs_diff",
+    "NonFiniteError",
+    "require_finite",
 ]
 
 
@@ -245,6 +247,18 @@ def max_abs_diff(a: MatrixField, b: MatrixField) -> float:
     if a.data.size == 0:
         return 0.0
     return float(np.max(np.abs(a.data - b.data)))
+
+
+class NonFiniteError(ValueError):
+    """A value is NaN or infinite, so no verdict or result exists."""
+
+
+def require_finite(name: str, values: np.ndarray):
+    """Raise NonFiniteError naming the first node where `values` is NaN or inf."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        node = tuple(int(i) for i in np.argwhere(~finite)[0])
+        raise NonFiniteError(f"{name} is not finite at node {node}")
 
 
 @dataclass(frozen=True)

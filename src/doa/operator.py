@@ -17,6 +17,12 @@ operators is a property of the induced map, not of the stored pairs, and
 is tested through the per-level kernels A_j(k) B_j(k') on node pairs that
 share their trailing coordinates (`equal_as_map`).
 
+Those node pairs make up the fibres of level j: the P = n_1*...*n_j nodes
+that share one value of the trailing coordinates.  `fibre_stacks` lays a
+level-j term out per fibre, A as a (P*M) x w and B as a w x (P*M) block,
+so the level acts on fibre t as the matrix A[t] B[t] / P.  `equal_as_map`
+and `functional.trace_norm` both read a term through that view.
+
 Everything here is pure and immutable; all per-node work is vectorized.
 """
 
@@ -30,6 +36,7 @@ import numpy as np
 from .grid import (
     GridSpec,
     MatrixField,
+    NonFiniteError,
     integrate_first,
     lift,
     pointwise_add,
@@ -53,6 +60,7 @@ __all__ = [
     "compose",
     "adjoint",
     "compress",
+    "fibre_stacks",
     "equal_as_map",
     "inner",
     "state_norm",
@@ -308,9 +316,14 @@ def compress(a: DefectOperator, tol: float = 0.0) -> DefectOperator:
     the tolerance.  The floor scales with the factors, not with the core:
     when pairs cancel (a + (-a)) the whole core is round-off, and its s_1
     says nothing about the size of that round-off.
+
+    A term with a NaN or infinite entry raises NonFiniteError.
     """
     if tol < 0:
         raise ValueError("tol must be >= 0")
+    for j, t in a.terms.items():
+        if not (np.isfinite(t.a.data).all() and np.isfinite(t.b.data).all()):
+            raise NonFiniteError(f"term at level {j} is not finite")
     active = len(a.terms)
     if active == 0:
         return a
@@ -323,30 +336,37 @@ def compress(a: DefectOperator, tol: float = 0.0) -> DefectOperator:
     return DefectOperator(a.a0, terms)
 
 
+def fibre_stacks(term: Term, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """A level-j term per fibre: A as (trail, P*M, w), B as (trail, w, P*M).
+
+    P = n_1*...*n_j nodes share each of the `trail` values of the trailing
+    coordinates; rows of fibre t run over its nodes (coordinate j fastest)
+    with the M components innermost.  The level maps fibre t by
+    A[t] @ B[t] / P.
+    """
+    spec = term.a.spec
+    m, w = term.a.rows, term.width
+    prefix = math.prod(spec.points_per_dim[:j])
+    trail = spec.num_nodes // prefix
+    a = term.a.data.reshape(prefix, trail, m, w).transpose(1, 0, 2, 3)
+    b = term.b.data.reshape(prefix, trail, w, m).transpose(1, 2, 0, 3)
+    return a.reshape(trail, prefix * m, w), b.reshape(trail, w, prefix * m)
+
+
 _KERNEL_BLOCK = 1 << 20  # kernel entries evaluated at once (16 MB)
 
 
-def _level_kernels_agree(ta: Term | None, tb: Term | None, j: int, spec: GridSpec, tol: float) -> bool:
+def _level_kernels_agree(ta: Term | None, tb: Term | None, j: int, tol: float) -> bool:
     """Whether level-j kernels A(k)B(k') agree to `tol` on all node pairs
     that share trailing coordinates, evaluated in blocks of k rows."""
-    m = (ta if ta is not None else tb).a.rows
-    prefix = math.prod(spec.points_per_dim[:j])
-    trail = spec.num_nodes // prefix
-
-    def sides(t: Term | None):
-        # per trailing node: A rows (prefix*m, w) and B columns (w, prefix*m)
-        if t is None:
-            return None
-        a = t.a.data.reshape(prefix, trail, m, t.width).transpose(1, 0, 2, 3)
-        b = t.b.data.reshape(prefix, trail, t.width, m).transpose(1, 2, 0, 3)
-        return a.reshape(trail, prefix * m, t.width), b.reshape(trail, t.width, prefix * m)
 
     def kernel(ab, rows: slice):
         return 0.0 if ab is None else np.matmul(ab[0][:, rows], ab[1])
 
-    sa, sb = sides(ta), sides(tb)
-    step = max(1, _KERNEL_BLOCK // (trail * prefix * m))
-    for start in range(0, prefix * m, step):
+    sa, sb = (None if t is None else fibre_stacks(t, j) for t in (ta, tb))
+    trail, rows_all, _ = (sa or sb)[0].shape
+    step = max(1, _KERNEL_BLOCK // (trail * rows_all))
+    for start in range(0, rows_all, step):
         rows = slice(start, start + step)
         if not float(np.max(np.abs(kernel(sa, rows) - kernel(sb, rows)))) <= tol:
             return False  # also on NaN
@@ -361,7 +381,7 @@ def equal_as_map(a: DefectOperator, b: DefectOperator, tol: float) -> bool:
     if not float(np.max(np.abs(a.a0.data - b.a0.data))) <= tol:
         return False
     for j in sorted(set(a.terms) | set(b.terms)):
-        if not _level_kernels_agree(a.terms.get(j), b.terms.get(j), j, a.spec, tol):
+        if not _level_kernels_agree(a.terms.get(j), b.terms.get(j), j, tol):
             return False
     return True
 

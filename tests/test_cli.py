@@ -397,7 +397,6 @@ def _overflow_doc(tmp_path, entry: str) -> str:
     [
         ("trace", "1e200", "tau_1 is not finite at node ()"),
         ("trace-norm", "1e200", "the trace norm is not finite"),
-        ("trace-norm", "1e120", "the trace norm is not finite"),
         ("power-traces", "1e200", "tau_1 is not finite at node ()"),
         ("power-traces", "1e120", "A^2 is not finite"),
     ],
@@ -412,6 +411,17 @@ def test_non_finite_functional_exit_one(tmp_path, capsys, command, entry, messag
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
     assert not out_file.exists()
+
+
+def test_trace_norm_near_overflow_exit_zero(tmp_path, capsys):
+    # 1e120 entries on 3 nodes: the level-1 norm 3 * (1e120)^2 / 3 = 1e240
+    # is finite, although its square is not
+    assert main(["trace-norm", _overflow_doc(tmp_path, "1e120")]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    name, value = captured.out.split(" = ")
+    assert name == "trace_norm"
+    assert float(value) == pytest.approx(1e240, rel=1e-15)
 
 
 def test_unallocatable_grid_exit_one(tmp_path, capsys):

@@ -9,6 +9,7 @@ from doa import (
     DefectOperator,
     GridSpec,
     MatrixField,
+    NonFiniteError,
     StateVector,
     add,
     apply,
@@ -19,13 +20,13 @@ from doa import (
     exp_operator,
     identity_operator,
     inverse,
-    iso_check,
     log_det_series,
     pencil,
     power_traces,
     scale,
     spectrum_scan,
     state_norm,
+    Term,
     trace,
     trace_norm,
     zero_operator,
@@ -233,22 +234,44 @@ def test_modulated_profile_dispersion_curve():
     assert spectrum_scan(op, [-2.0], zero_tol=1e-10).degrees == (2,)
 
 
-def test_iso_check_self_and_perturbed():
+def _power_traces_gap(a, b, n_max: int) -> float:
+    """Largest |tau(a^n) - tau(b^n)| over n = 1..n_max, components and nodes."""
+    return max(x.max_abs_diff(y) for x, y in zip(power_traces(a, n_max), power_traces(b, n_max)))
+
+
+def test_power_traces_self_and_perturbed():
     rng = np.random.default_rng(6)
     spec = grid66()
     op = random_operator(spec, 2, rng)
-    assert iso_check(op, op, 4, 1e-12)
+    assert _power_traces_gap(op, op, 4) <= 1e-12
     bumped = add(op, random_operator(spec, 2, rng, widths={1: 1}, a0_perturb=0.0))
-    assert not iso_check(op, bumped, 1, 1e-6)
+    assert not _power_traces_gap(op, bumped, 1) <= 1e-6
 
 
-def test_iso_check_conjugation_invariance():
+def test_power_traces_conjugation_invariance():
     rng = np.random.default_rng(7)
     spec = grid66()
     op = random_operator(spec, 2, rng)
     g = random_operator(spec, 2, rng)
     conj = compose(g, compose(op, inverse(g)))
-    assert iso_check(op, conj, 4, 1e-9)
+    assert _power_traces_gap(op, conj, 4) <= 1e-9
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_trace_norm_nan_raises_non_finite(level):
+    # a NaN in A0 or in a term is reported, not left to the SVD to reject
+    spec = GridSpec((3,))
+    op = random_operator(spec, 2, np.random.default_rng(9))
+    if level == 0:
+        a0 = op.a0.data.copy()
+        a0[1, 0, 0] = np.nan
+        op = DefectOperator(MatrixField(spec, a0), op.terms)
+    else:
+        b = op.terms[1].b.data.copy()
+        b[1, 0, 0] = np.nan
+        op = DefectOperator(op.a0, {1: Term(op.terms[1].a, MatrixField(spec, b))})
+    with pytest.raises(NonFiniteError, match="the trace norm is not finite"):
+        trace_norm(op)
 
 
 def test_exponential_identity():

@@ -9,6 +9,7 @@ from doa import (
     DefectOperator,
     GridSpec,
     MatrixField,
+    NonFiniteError,
     StateVector,
     Term,
     add,
@@ -240,6 +241,19 @@ def test_compress_respects_tolerance_contract():
         for tol in (0.0, 1e-12, 1e-6, 1e-3, 1e-1):
             moved = np.linalg.norm(assemble(compress(big, tol)).matrix - dense, 2)
             assert moved <= tol + 1e-13, (grid, m, tol)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+def test_compress_non_finite_term_raises(bad):
+    # one bad A entry at level 1: neither dropped silently nor left to the SVD
+    rng = np.random.default_rng(14)
+    spec = GridSpec((3, 3))
+    op = random_operator(spec, 2, rng)
+    a = op.terms[1].a.data.copy()
+    a[1, 2, 0, 0] = bad
+    broken = DefectOperator(op.a0, {1: Term(MatrixField(spec, a), op.terms[1].b), 2: op.terms[2]})
+    with pytest.raises(NonFiniteError, match="term at level 1 is not finite"):
+        compress(broken, 0.0)
 
 
 def test_compress_keeps_pencil_structure():

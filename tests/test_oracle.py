@@ -1,5 +1,7 @@
 """Dense-realization oracle tests."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,9 @@ from doa import (
     identity_operator,
     pencil,
     power_traces,
+    scale,
     spectrum_scan,
+    trace_norm,
 )
 from doa.grid import sample
 from doa.oracle import DEFAULT_CAP, assemble, dense_inverse_check, dense_spectrum, unvec, vec
@@ -169,6 +173,34 @@ def test_power_traces_match_dense_trace(grid, m, widths):
         want = np.trace(power)
         got = sum(f.data.sum() for f in tau.fields)
         assert abs(got - want) <= 1e-11 * max(1.0, abs(want))
+
+
+def _dense_trace_norm(op) -> float:
+    """Sum over levels of the largest nuclear norm of a diagonal block of the
+    level's own dense matrix.  With coordinate 1 fastest in the node order,
+    the fibres of level j are the contiguous blocks of P*M rows,
+    P = n_1*...*n_j (P = 1 for A0)."""
+    spec, m = op.spec, op.m
+    zero = MatrixField.zeros(spec, m, m)
+    levels = [(0, DefectOperator(op.a0))]
+    levels += [(j, DefectOperator(zero, {j: t})) for j, t in op.terms.items()]
+    total = 0.0
+    for j, level in levels:
+        dense = assemble(level).matrix
+        size = math.prod(spec.points_per_dim[:j]) * m
+        starts = range(0, dense.shape[0], size)
+        total += max(np.linalg.svd(dense[s : s + size, s : s + size], compute_uv=False).sum() for s in starts)
+    return total
+
+
+def test_trace_norm_matches_dense_nuclear_norm():
+    for grid, m, widths in SHAPES:
+        spec = GridSpec(grid)
+        op = random_operator(spec, m, np.random.default_rng(sum(grid) * 10 + m), widths)
+        cancelled = add(add(op, scale(-1.0, op)), identity_operator(spec, m))
+        for case in (op, compose(op, op), add(op, op), cancelled):
+            want = _dense_trace_norm(case)
+            assert abs(trace_norm(case) - want) <= 1e-13 * want, grid
 
 
 def test_dense_inverse_check_identity():
