@@ -10,14 +10,6 @@ from .grid import (
     GridSpec,
     MatrixField,
     ScalarComponents,
-    integrate_first,
-    lift,
-    max_abs_diff,
-    pointwise_add,
-    pointwise_adjoint,
-    pointwise_det,
-    pointwise_matmul,
-    pointwise_scale,
     sample,
 )
 from .expr import ExprError, ExprEvalError, ExprSyntaxError, FieldExpr, evaluate, parse, to_text

@@ -33,7 +33,7 @@ from .document import (
     load_document,
     uses_lambda,
 )
-from .elimination import NonFiniteError, NonInvertible, eliminate, inverse
+from .elimination import DEFAULT_ZERO_TOL, NonFiniteError, NonInvertible, eliminate, inverse
 from .functional import power_traces, spectrum_scan, trace, trace_norm
 from .grid import ScalarComponents
 from .operator import StateVector, apply, pencil, state_norm
@@ -282,7 +282,7 @@ def _cmd_example3(ns) -> int:
         _check(f"determinant at lambda={_fmt_complex(lam)}", float(np.max(np.abs(got - want))), 1e-10, failures)
     print(f"   (three eliminations took {time.perf_counter() - t0:.3f} s)")
 
-    scan = spectrum_scan(op, [0.0, -1.0, -2.0, 5.0], zero_tol=1e-10)
+    scan = spectrum_scan(op, [0.0, -1.0, -2.0, 5.0])
     deg_dev = float(np.max(np.abs(np.array(scan.degrees) - np.array([0, 1, 2, 3]))))
     _check("spectrum degrees at {0,-1,-2,5}", deg_dev, 0.0, failures)
 
@@ -334,7 +334,9 @@ def _cmd_example3(ns) -> int:
 def _add_common(p: argparse.ArgumentParser, with_out: bool = True):
     p.add_argument("file", help="operator document (JSON)")
     p.add_argument("--lambda", dest="lam", default=None, help="value for the free symbol lambda: re[,im]")
-    p.add_argument("--zero-tol", type=_positive_float, default=1e-10, help="relative zero threshold for elimination")
+    p.add_argument(
+        "--zero-tol", type=_positive_float, default=DEFAULT_ZERO_TOL, help="relative zero threshold for elimination"
+    )
     if with_out:
         p.add_argument("--out", choices=("json", "csv"), default="json", help="format for --out-file")
         p.add_argument("--out-file", default=None, help="write full per-node components here")
@@ -368,7 +370,7 @@ def build_parser() -> _Parser:
     p.add_argument("--im-min", type=_finite_float, default=0.0)
     p.add_argument("--im-max", type=_finite_float, default=0.0)
     p.add_argument("--samples", default="101", help="NRE or NRE,NIM sample counts")
-    p.add_argument("--zero-tol", type=_positive_float, default=1e-10)
+    p.add_argument("--zero-tol", type=_positive_float, default=DEFAULT_ZERO_TOL)
     p.add_argument("--out-file", default=None)
     p.set_defaults(fn=_cmd_spectrum)
 

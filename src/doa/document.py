@@ -230,7 +230,7 @@ def build_operator(doc: OperatorDocument, lam: complex | None = None) -> DefectO
     fields = []
     for name, mat in _matrices(doc):
         try:
-            field = sample(mat, spec, len(mat), len(mat[0]), symbols)
+            field = sample(mat, spec, symbols)
         except _expr.ExprError as exc:
             i, k = exc.entry
             raise DocumentFormatError(f"{name}[{i}][{k}]: {exc}") from exc

@@ -8,6 +8,10 @@ the remaining levels
 
     A_{r,j} = A_{r,j-1} - A_{j,j-1} E_j^{-1} <B_j A_{r,j-1}>_j ,  r > j.
 
+The steps work on plain arrays: <x>_j is the mean over the first j grid
+axes, and E_j^{-1} <B_j A_{r,j-1}>_j on the trailing coordinates is lifted
+back to the full grid by numpy broadcasting in the product with A_{j,j-1}.
+
 A vanishing pi_j certifies non-invertibility (step index and witness node
 are returned as a value, not an exception).  If every step passes, the
 collected data factorizes the operator into elementary factors
@@ -32,17 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (
-    MatrixField,
-    NonFiniteError,
-    ScalarComponents,
-    integrate_first,
-    lift,
-    pointwise_det,
-    pointwise_matmul,
-    pointwise_scale,
-    require_finite,
-)
+from .grid import MatrixField, NonFiniteError, ScalarComponents, require_finite
 from .operator import (
     DefectOperator,
     compose,
@@ -100,10 +94,7 @@ class Invertible:
     pi: VectorDeterminant
     a0_inv: MatrixField
     steps: tuple[StepFactor | None, ...]  # entry j-1 for level j; None if absent
-
-    @property
-    def min_abs_by_step(self) -> tuple[float, ...]:
-        return tuple(self.pi.min_abs(j) for j in range(len(self.pi.fields)))
+    min_abs_by_step: tuple[float, ...]  # |pi_j| minima for steps 0..N
 
 
 @dataclass(frozen=True)
@@ -128,8 +119,8 @@ class NonInvertibleError(ValueError):
         self.outcome = outcome
 
 
-def _step_check(pi: MatrixField, zero_tol: float, step: int):
-    vals = np.abs(pi.data[..., 0, 0])
+def _step_check(dets: np.ndarray, zero_tol: float, step: int):
+    vals = np.abs(dets)
     require_finite(f"pi_{step}", vals)
     node = np.unravel_index(int(np.argmin(vals)), vals.shape)
     min_abs = float(vals[node])
@@ -152,47 +143,44 @@ def eliminate(op: DefectOperator, zero_tol: float = DEFAULT_ZERO_TOL) -> Elimina
     spec = op.spec
     n = spec.dims
 
-    pi0 = pointwise_det(op.a0)
-    failed, node, min_abs = _step_check(pi0, zero_tol, 0)
+    pis = [np.linalg.det(op.a0.data)]
+    failed, node, min_abs = _step_check(pis[0], zero_tol, 0)
     mins = [min_abs]
     if failed:
         return NonInvertible(0, node, min_abs, tuple(mins))
 
-    a0_inv = MatrixField(spec, np.linalg.inv(op.a0.data))
-    current = {j: pointwise_matmul(a0_inv, t.a) for j, t in op.terms.items()}
+    a0_inv = np.linalg.inv(op.a0.data)
+    current = {j: a0_inv @ t.a.data for j, t in op.terms.items()}
 
-    pi_fields: list[MatrixField] = [pi0]
     steps: list[StepFactor | None] = [None] * n
     for j in range(1, n + 1):
         trailing = spec.trailing(j)
         if j not in op.terms:
-            pi_fields.append(
-                MatrixField(trailing, np.ones(trailing.shape + (1, 1), dtype=np.complex128))
-            )
+            pis.append(np.ones(trailing.shape, dtype=np.complex128))
             mins.append(1.0)
             continue
-        bj = op.terms[j].b
-        gathered = integrate_first(pointwise_matmul(bj, current[j]), j)
-        width = gathered.rows
-        e = MatrixField(trailing, np.eye(width) + gathered.data)
-        pij = pointwise_det(e)
-        failed, node, min_abs = _step_check(pij, zero_tol, j)
+        bj = op.terms[j].b.data
+        gathered = (bj @ current[j]).mean(axis=tuple(range(j)))
+        e = np.eye(gathered.shape[-1]) + gathered
+        pis.append(np.linalg.det(e))
+        failed, node, min_abs = _step_check(pis[j], zero_tol, j)
         mins.append(min_abs)
-        pi_fields.append(pij)
         if failed:
             return NonInvertible(j, node, min_abs, tuple(mins))
-        e_inv = MatrixField(trailing, np.linalg.inv(e.data))
-        steps[j - 1] = StepFactor(j, current[j], e, e_inv)
+        e_inv = np.linalg.inv(e)
+        steps[j - 1] = StepFactor(
+            j, MatrixField(spec, current[j]), MatrixField(trailing, e), MatrixField(trailing, e_inv)
+        )
         for r in op.terms:
             if r <= j:
                 continue
-            mixed = integrate_first(pointwise_matmul(bj, current[r]), j)
-            correction = pointwise_matmul(
-                current[j], lift(pointwise_matmul(e_inv, mixed), spec)
-            )
-            current[r] = MatrixField(spec, current[r].data - correction.data)
+            mixed = (bj @ current[r]).mean(axis=tuple(range(j)))
+            current[r] = current[r] - current[j] @ (e_inv @ mixed)
 
-    return Invertible(VectorDeterminant(tuple(pi_fields)), a0_inv, tuple(steps))
+    pi = tuple(
+        MatrixField(spec.trailing(j), np.asarray(p)[..., None, None]) for j, p in enumerate(pis)
+    )
+    return Invertible(VectorDeterminant(pi), MatrixField(spec, a0_inv), tuple(steps), tuple(mins))
 
 
 def _require_invertible(op: DefectOperator, zero_tol: float) -> Invertible:
@@ -224,8 +212,8 @@ def inverse(op: DefectOperator, zero_tol: float = DEFAULT_ZERO_TOL) -> DefectOpe
     for step in outcome.steps:
         if step is None:
             continue
-        a_neg = pointwise_scale(-1.0, pointwise_matmul(step.a_left, lift(step.e_inv, op.spec)))
-        elem = elementary_factor(step.level, a_neg, op.terms[step.level].b)
+        a_neg = complex(-1.0) * (step.a_left.data @ step.e_inv.data)
+        elem = elementary_factor(step.level, MatrixField(op.spec, a_neg), op.terms[step.level].b)
         acc = compose(elem, acc)
     return compress(acc, 0.0)
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +49,7 @@ __all__ = [
     "walk",
 ]
 
-_FUNCS = ("sin", "cos", "exp", "sqrt")  # numpy ufunc names
+_FUNCS = ("sin", "cos", "exp", "sqrt")  # numpy ufunc names; sqrt is _sqrt
 
 
 class ExprError(ValueError):
@@ -301,10 +302,10 @@ def evaluate(tree: FieldExpr, coords, symbols=None):
     arrays that broadcast together such as a sparse ``np.meshgrid``.  Free
     symbols take their values from the mapping `symbols`.
 
-    Values are complex, and ``*``, ``/`` and ``^`` use CPython's formulas, so
-    each element equals Python's ``complex``/``cmath`` value at that node bit
-    for bit, except ``sqrt`` of a purely imaginary value (numpy's may differ
-    in the last place) and exponents above 100 (CPython turns to polar form).
+    Values are complex, and ``*``, ``/``, ``^`` and ``sqrt`` use CPython's
+    formulas, so each element equals Python's ``complex``/``cmath`` value at
+    that node bit for bit, except for exponents above 100 (CPython turns to
+    polar form).
     Raises ExprEvalError where any element divides by zero, takes ``sqrt`` of
     a negative real or overflows (``sin``, ``cos``, ``exp`` or ``^`` of a
     finite argument is not finite), and on a missing coordinate or symbol.
@@ -345,8 +346,10 @@ def _eval(tree: FieldExpr, coords, symbols) -> np.ndarray:
         return _overflow_checked(_powu(base, tree.exponent), base, tree.pos)
     if isinstance(tree, Call):
         value = _eval(tree.arg, coords, symbols)
-        if tree.func == "sqrt" and np.any((value.imag == 0) & (value.real < 0)):
-            raise ExprEvalError("sqrt of negative real", tree.pos)
+        if tree.func == "sqrt":
+            if np.any((value.imag == 0) & (value.real < 0)):
+                raise ExprEvalError("sqrt of negative real", tree.pos)
+            return _sqrt(value)
         return _overflow_checked(getattr(np, tree.func)(value), value, tree.pos)
     raise TypeError(f"not an expression node: {tree!r}")
 
@@ -387,6 +390,21 @@ def _powu(x, n: int) -> np.ndarray:
             r = _prod(r, x)
         x = _prod(x, x)
     return r
+
+
+def _sqrt(z) -> np.ndarray:
+    """CPython's cmath.sqrt on finite elements (numpy's may differ in the
+    last place, on subnormal parts and in the sign of a zero part)."""
+    ax, ay = np.abs(z.real), np.abs(z.imag)
+    tiny = (ax < sys.float_info.min) & (ay < sys.float_info.min)  # |z| may be subnormal
+    ax_s = np.where(tiny, np.ldexp(ax, 53), ax / 8.0)
+    ay_s = np.where(tiny, np.ldexp(ay, 53), ay / 8.0)
+    s = np.sqrt(ax_s + np.hypot(ax_s, ay_s))
+    s = np.where(tiny, np.ldexp(s, -27), 2.0 * s)
+    d = np.where(s == 0, 0.0, ay / (2.0 * s))  # s is 0 only where z is
+    right = z.real >= 0
+    out = _complex(np.where(right, s, d), np.copysign(np.where(right, d, s), z.imag))
+    return np.where(np.isfinite(z), out, np.sqrt(z))
 
 
 _ATOM, _POW, _NEG, _MUL, _ADD = 5, 4, 3, 2, 1

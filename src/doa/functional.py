@@ -42,6 +42,7 @@ from .operator import (
     add,
     compose,
     compress,
+    _dagger,
     fibre_stacks,
     identity_operator,
     pencil,
@@ -94,16 +95,13 @@ def _check_finite(what: str, *arrays):
 
 
 @np.errstate(all="ignore")  # a NaN/inf power raises NonFiniteError instead
-def power_traces(
-    op: DefectOperator,
-    n_max: int,
-    compress_tol: float = DEFAULT_COMPRESS_TOL,
-) -> list[VectorTrace]:
+def power_traces(op: DefectOperator, n_max: int) -> list[VectorTrace]:
     """[tau(op), tau(op^2), ..., tau(op^n_max)] via repeated composition.
 
-    Powers are compressed between steps (default tol 1e-13, below all test
-    tolerances) to stop inner widths from growing geometrically.  A power
-    with a NaN/inf entry raises NonFiniteError before it is compressed.
+    Powers are compressed between steps (tol DEFAULT_COMPRESS_TOL = 1e-13,
+    below all test tolerances) to stop inner widths from growing
+    geometrically.  A power with a NaN/inf entry raises NonFiniteError
+    before it is compressed.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -114,7 +112,7 @@ def power_traces(
         _check_finite(
             f"A^{n}", power.a0.data, *(f.data for t in power.terms.values() for f in (t.a, t.b))
         )
-        power = compress(power, compress_tol)
+        power = compress(power, DEFAULT_COMPRESS_TOL)
         out.append(trace(power))
     return out
 
@@ -135,8 +133,8 @@ def trace_norm(op: DefectOperator) -> float:
         a, b = fibre_stacks(t, j)
         nodes = a.shape[1] // op.m  # P, the nodes of one fibre
         r_a = np.linalg.qr(a, mode="r")
-        r_b = np.linalg.qr(np.conj(np.swapaxes(b, -1, -2)), mode="r")
-        core = (r_a / nodes) @ np.conj(np.swapaxes(r_b, -1, -2))
+        r_b = np.linalg.qr(_dagger(b), mode="r")
+        core = (r_a / nodes) @ _dagger(r_b)
         _check_finite("the trace norm", core)
         total += float(np.max(np.linalg.svd(core, compute_uv=False).sum(axis=-1)))
     _check_finite("the trace norm", total)

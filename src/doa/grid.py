@@ -2,22 +2,28 @@
 
 A field assigns one complex ``rows x cols`` matrix to every node of a
 tensor-product midpoint grid: coordinate i takes the values (t + 1/2)/n_i,
-t = 0..n_i-1.  Integrating over the first j coordinates is the uniform
-average over those axes.  With this quadrature the operator algebra built
-on top of these fields is exactly closed at any fixed resolution: all
-factorization identities hold up to floating-point rounding only.
+t = 0..n_i-1.  With this quadrature the operator algebra built on top of
+these fields is exactly closed at any fixed resolution: all factorization
+identities hold up to floating-point rounding only.
 
 Array layout: ``MatrixField.data`` has shape ``(n_1, ..., n_d, rows, cols)``
 with grid axes in natural coordinate order.  Where a single flat node index
 is needed (witness reporting, dense realizations) nodes are enumerated with
 coordinate 1 varying fastest: ``flat = t_1 + n_1*(t_2 + n_2*(...))``.
 
-Averages rely on numpy reductions, which use pairwise summation, so the
-error growth on fine grids stays logarithmic.
+The average <x>_j over the first j coordinates is the plain array mean
+``x.mean(axis=tuple(range(j)))``: a uniform average, which is the exact
+integral for the discrete midpoint measure.  It leaves an array of shape
+``(n_{j+1}, ..., n_d, rows, cols)`` on the trailing coordinates, and such
+an array broadcasts right-aligned against the full grid, constant in
+k_1..k_j.  The algebra multiplies averages back in that way, so there is
+no separate lifting step.  numpy's reductions use pairwise summation, so
+the error growth on fine grids stays logarithmic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,14 +36,6 @@ __all__ = [
     "MatrixField",
     "ScalarComponents",
     "sample",
-    "integrate_first",
-    "lift",
-    "pointwise_matmul",
-    "pointwise_add",
-    "pointwise_scale",
-    "pointwise_adjoint",
-    "pointwise_det",
-    "max_abs_diff",
     "NonFiniteError",
     "require_finite",
 ]
@@ -65,10 +63,7 @@ class GridSpec:
 
     @property
     def num_nodes(self) -> int:
-        out = 1
-        for n in self.points_per_dim:
-            out *= n
-        return out
+        return math.prod(self.points_per_dim)
 
     def coordinates(self, axis: int) -> np.ndarray:
         """Midpoint values (t + 1/2)/n along one 0-based axis."""
@@ -76,9 +71,7 @@ class GridSpec:
         return (np.arange(n) + 0.5) / n
 
     def node_coords(self, multi_index: Sequence[int]) -> tuple[float, ...]:
-        return tuple(
-            (int(t) + 0.5) / n for t, n in zip(multi_index, self.points_per_dim)
-        )
+        return tuple((int(t) + 0.5) / n for t, n in zip(multi_index, self.points_per_dim))
 
     def trailing(self, j: int) -> "GridSpec":
         """The grid of the last d - j coordinates."""
@@ -146,8 +139,8 @@ class MatrixField:
         return cls.constant(spec, np.eye(m))
 
 
-def sample(expr_table, spec: GridSpec, rows: int, cols: int, symbols=None) -> MatrixField:
-    """Evaluate a rows x cols table of expressions at every grid node.
+def sample(expr_table, spec: GridSpec, symbols=None) -> MatrixField:
+    """Evaluate a rectangular table of expressions at every grid node.
 
     Entries may be parsed ``FieldExpr`` trees or raw expression strings.
     Expressions may only reference coordinates k1..kd of `spec`, and free
@@ -155,8 +148,10 @@ def sample(expr_table, spec: GridSpec, rows: int, cols: int, symbols=None) -> Ma
     Each entry is evaluated once over the whole grid; an ExprError carries
     the failing entry's (row, col) in its ``entry`` attribute.
     """
-    if len(expr_table) != rows or any(len(r) != cols for r in expr_table):
-        raise ValueError(f"expression table must be {rows}x{cols}")
+    rows = len(expr_table)
+    cols = len(expr_table[0]) if rows else 0
+    if cols == 0 or any(len(r) != cols for r in expr_table):
+        raise ValueError("expression table must be a non-empty rectangle")
     axes = np.meshgrid(*map(spec.coordinates, range(spec.dims)), indexing="ij", sparse=True)
     data = np.empty(spec.shape + (rows, cols), dtype=np.complex128)
     for r, row in enumerate(expr_table):
@@ -168,85 +163,6 @@ def sample(expr_table, spec: GridSpec, rows: int, cols: int, symbols=None) -> Ma
                 exc.entry = (r, c)
                 raise
     return MatrixField(spec, data)
-
-
-def integrate_first(field: MatrixField, j: int) -> MatrixField:
-    """Average the field over its first j coordinates.
-
-    Returns a field on the trailing d - j coordinates; j = 0 is the
-    identity.  The average uses uniform weights 1/(n_1*...*n_j), which is
-    the exact integral for the discrete midpoint measure.
-    """
-    if not 0 <= j <= field.spec.dims:
-        raise ValueError(f"j must be in 0..{field.spec.dims}, got {j}")
-    if j == 0:
-        return field
-    data = field.data.mean(axis=tuple(range(j)))
-    return MatrixField(field.spec.trailing(j), data)
-
-
-def lift(field: MatrixField, target: GridSpec) -> MatrixField:
-    """Broadcast a trailing-coordinate field to a larger grid.
-
-    `field.spec` must equal the trailing coordinates of `target`; the
-    result is constant along the prepended axes.
-    """
-    extra = target.dims - field.spec.dims
-    if extra < 0 or target.trailing(extra) != field.spec:
-        raise ValueError(
-            f"field grid {field.spec.shape} is not a trailing part of {target.shape}"
-        )
-    data = np.broadcast_to(field.data, target.shape + field.data.shape[-2:])
-    return MatrixField(target, data)
-
-
-def _align(a: MatrixField, b: MatrixField) -> tuple[MatrixField, MatrixField]:
-    """Lift whichever operand lives on the smaller (trailing) grid."""
-    if a.spec == b.spec:
-        return a, b
-    if a.spec.dims < b.spec.dims:
-        return lift(a, b.spec), b
-    return a, lift(b, a.spec)
-
-
-def pointwise_matmul(a: MatrixField, b: MatrixField) -> MatrixField:
-    a, b = _align(a, b)
-    if a.cols != b.rows:
-        raise ValueError(f"matrix shapes {a.rows}x{a.cols} @ {b.rows}x{b.cols} mismatch")
-    return MatrixField(a.spec, np.matmul(a.data, b.data))
-
-
-def pointwise_add(a: MatrixField, b: MatrixField) -> MatrixField:
-    a, b = _align(a, b)
-    if (a.rows, a.cols) != (b.rows, b.cols):
-        raise ValueError(f"matrix shapes {a.rows}x{a.cols} + {b.rows}x{b.cols} mismatch")
-    return MatrixField(a.spec, a.data + b.data)
-
-
-def pointwise_scale(alpha: complex, field: MatrixField) -> MatrixField:
-    return MatrixField(field.spec, complex(alpha) * field.data)
-
-
-def pointwise_adjoint(field: MatrixField) -> MatrixField:
-    """Per-node conjugate transpose."""
-    return MatrixField(field.spec, np.conj(np.swapaxes(field.data, -1, -2)))
-
-
-def pointwise_det(field: MatrixField) -> MatrixField:
-    """Per-node determinant as a 1x1 scalar field."""
-    if field.rows != field.cols:
-        raise ValueError("determinant requires square matrices")
-    dets = np.linalg.det(field.data)
-    return MatrixField(field.spec, np.asarray(dets)[..., None, None])
-
-
-def max_abs_diff(a: MatrixField, b: MatrixField) -> float:
-    a, b = _align(a, b)
-    if a.data.shape != b.data.shape:
-        raise ValueError("fields have different shapes")
-    if a.data.size == 0:
-        return 0.0
-    return float(np.max(np.abs(a.data - b.data)))
 
 
 class NonFiniteError(ValueError):
@@ -294,9 +210,6 @@ class ScalarComponents:
         """Number of grid coordinates N; there are N + 1 components."""
         return len(self.fields) - 1
 
-    def component(self, j: int) -> MatrixField:
-        return self.fields[j]
-
     def values(self, j: int) -> np.ndarray:
         """Component j as a bare array over its grid."""
         return self.fields[j].data[..., 0, 0]
@@ -305,34 +218,19 @@ class ScalarComponents:
         return complex(self.fields[-1].data[0, 0])
 
     def map_values(self, fn) -> "ScalarComponents":
-        out = tuple(MatrixField(f.spec, fn(f.data)) for f in self.fields)
-        return type(self)(out)
+        return type(self)(tuple(MatrixField(f.spec, fn(f.data)) for f in self.fields))
 
     def multiply(self, other: "ScalarComponents") -> "ScalarComponents":
-        self._check_compatible(other)
-        out = tuple(
-            MatrixField(f.spec, f.data * g.data)
-            for f, g in zip(self.fields, other.fields)
-        )
-        return type(self)(out)
+        return self._zip(other, np.multiply)
 
     def add(self, other: "ScalarComponents") -> "ScalarComponents":
-        self._check_compatible(other)
-        out = tuple(
-            MatrixField(f.spec, f.data + g.data)
-            for f, g in zip(self.fields, other.fields)
-        )
-        return type(self)(out)
+        return self._zip(other, np.add)
 
     def scale(self, alpha: complex) -> "ScalarComponents":
         return self.map_values(lambda d: complex(alpha) * d)
 
     def max_abs_diff(self, other: "ScalarComponents") -> float:
-        self._check_compatible(other)
-        return max(
-            float(np.max(np.abs(f.data - g.data)))
-            for f, g in zip(self.fields, other.fields)
-        )
+        return max(float(np.max(np.abs(d.data))) for d in self._zip(other, np.subtract).fields)
 
     def min_abs(self, j: int) -> float:
         return float(np.min(np.abs(self.values(j))))
@@ -350,16 +248,17 @@ class ScalarComponents:
 
     def constant_values(self, tol: float = 1e-9) -> tuple[complex, ...]:
         """Per-component constant value; raises if any component varies."""
-        out = []
-        for j in range(len(self.fields)):
-            value = self.constant_value(j, tol)
-            if value is None:
-                raise ValueError(f"component {j} is not constant")
-            out.append(value)
-        return tuple(out)
+        values = tuple(self.constant_value(j, tol) for j in range(len(self.fields)))
+        if None in values:
+            raise ValueError(f"component {values.index(None)} is not constant")
+        return values
 
-    def _check_compatible(self, other: "ScalarComponents"):
+    def _zip(self, other: "ScalarComponents", fn) -> "ScalarComponents":
+        """fn of the two component vectors, component by component."""
         if len(self.fields) != len(other.fields) or any(
             f.spec != g.spec for f, g in zip(self.fields, other.fields)
         ):
             raise ValueError("component vectors live on different grids")
+        return type(self)(
+            tuple(MatrixField(f.spec, fn(f.data, g.data)) for f, g in zip(self.fields, other.fields))
+        )

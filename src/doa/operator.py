@@ -10,6 +10,12 @@ simply absent (width 0).  Sums concatenate the pairs level-wise, products
 expand bilinearly and land at level max(j, r), so the family is exactly
 closed under the algebra at fixed resolution.
 
+The kernels work on the plain ``.data`` arrays and wrap only what they
+return in ``MatrixField`` and ``Term``.  <x>_j is the array mean
+``x.mean(axis=tuple(range(j)))`` on the trailing coordinates, and lifting
+it back to the full grid is numpy broadcasting (right-aligned) in the next
+``@``.
+
 Inner widths grow under addition and composition; `compress` trims a
 representation back to (numerically) minimal width without changing the
 induced map beyond a requested operator-norm tolerance.  Equality of
@@ -33,17 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import (
-    GridSpec,
-    MatrixField,
-    NonFiniteError,
-    integrate_first,
-    lift,
-    pointwise_add,
-    pointwise_adjoint,
-    pointwise_matmul,
-    pointwise_scale,
-)
+from .grid import GridSpec, MatrixField, NonFiniteError
 
 __all__ = [
     "Term",
@@ -182,8 +178,7 @@ def pencil(lam: complex, op: DefectOperator) -> DefectOperator:
     """lam * I - op."""
     eye = np.eye(op.m)
     a0 = MatrixField(op.spec, complex(lam) * eye - op.a0.data)
-    terms = {j: Term(pointwise_scale(-1.0, t.a), t.b) for j, t in op.terms.items()}
-    return DefectOperator(a0, terms)
+    return DefectOperator(a0, _scaled_terms(-1.0, op))
 
 
 def _check_same_space(a: DefectOperator, b: DefectOperator):
@@ -203,12 +198,13 @@ def apply(op: DefectOperator, u: StateVector) -> StateVector:
     return StateVector(op.spec, acc[..., 0])
 
 
-def _concat_terms(parts: list[Term]) -> Term:
-    if len(parts) == 1:
-        return parts[0]
-    a = np.concatenate([t.a.data for t in parts], axis=-1)
-    b = np.concatenate([t.b.data for t in parts], axis=-2)
-    spec = parts[0].a.spec
+def _term(spec: GridSpec, pairs: list[tuple[np.ndarray, np.ndarray]]) -> Term:
+    """One level's Term from (A, B) arrays, concatenated along the inner width."""
+    if len(pairs) == 1:
+        a, b = pairs[0]  # no copy: the arrays keep their memory layout
+    else:
+        a = np.concatenate([p[0] for p in pairs], axis=-1)
+        b = np.concatenate([p[1] for p in pairs], axis=-2)
     return Term(MatrixField(spec, a), MatrixField(spec, b))
 
 
@@ -217,14 +213,17 @@ def add(a: DefectOperator, b: DefectOperator) -> DefectOperator:
     _check_same_space(a, b)
     terms = {}
     for j in sorted(set(a.terms) | set(b.terms)):
-        parts = [x.terms[j] for x in (a, b) if j in x.terms]
-        terms[j] = _concat_terms(parts)
-    return DefectOperator(pointwise_add(a.a0, b.a0), terms)
+        pairs = [(x.terms[j].a.data, x.terms[j].b.data) for x in (a, b) if j in x.terms]
+        terms[j] = _term(a.spec, pairs)
+    return DefectOperator(MatrixField(a.spec, a.a0.data + b.a0.data), terms)
+
+
+def _scaled_terms(alpha: complex, a: DefectOperator) -> dict[int, Term]:
+    return {j: Term(MatrixField(a.spec, complex(alpha) * t.a.data), t.b) for j, t in a.terms.items()}
 
 
 def scale(alpha: complex, a: DefectOperator) -> DefectOperator:
-    terms = {j: Term(pointwise_scale(alpha, t.a), t.b) for j, t in a.terms.items()}
-    return DefectOperator(pointwise_scale(alpha, a.a0), terms)
+    return DefectOperator(MatrixField(a.spec, complex(alpha) * a.a0.data), _scaled_terms(alpha, a))
 
 
 def compose(a: DefectOperator, b: DefectOperator) -> DefectOperator:
@@ -232,43 +231,46 @@ def compose(a: DefectOperator, b: DefectOperator) -> DefectOperator:
 
     A level-j factor against a level-r factor contributes at level
     max(j, r): the inner average <B_j A'_r> collapses onto whichever side
-    integrates over fewer coordinates.  No compression is applied; widths
+    integrates over fewer coordinates, and it multiplies that side back by
+    broadcasting over the averaged axes.  No compression is applied; widths
     grow and the identities stay exact.
     """
     _check_same_space(a, b)
-    spec = a.spec
-    buckets: dict[int, list[Term]] = {}
+    a0, b0 = a.a0.data, b.a0.data
+    buckets: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
 
-    def put(level: int, af: MatrixField, bf: MatrixField):
-        buckets.setdefault(level, []).append(Term(af, bf))
+    def put(level: int, af: np.ndarray, bf: np.ndarray):
+        buckets.setdefault(level, []).append((af, bf))
 
     # exactly-zero multiplication parts contribute nothing; skipping them
     # keeps pure term-by-term products at level max(j, r) structurally
-    if a.a0.data.any():
+    if a0.any():
         for r, tb in b.terms.items():
-            put(r, pointwise_matmul(a.a0, tb.a), tb.b)
-    if b.a0.data.any():
+            put(r, a0 @ tb.a.data, tb.b.data)
+    if b0.any():
         for j, ta in a.terms.items():
-            put(j, ta.a, pointwise_matmul(ta.b, b.a0))
+            put(j, ta.a.data, ta.b.data @ b0)
     for j, ta in a.terms.items():
         for r, tb in b.terms.items():
-            mixed = integrate_first(pointwise_matmul(ta.b, tb.a), min(j, r))
+            mixed = (ta.b.data @ tb.a.data).mean(axis=tuple(range(min(j, r))))
             if j <= r:
-                put(r, pointwise_matmul(ta.a, lift(mixed, spec)), tb.b)
+                put(r, ta.a.data @ mixed, tb.b.data)
             else:
-                put(j, ta.a, pointwise_matmul(lift(mixed, spec), tb.b))
+                put(j, ta.a.data, mixed @ tb.b.data)
 
-    terms = {lvl: _concat_terms(parts) for lvl, parts in sorted(buckets.items())}
-    return DefectOperator(pointwise_matmul(a.a0, b.a0), terms)
+    terms = {lvl: _term(a.spec, pairs) for lvl, pairs in sorted(buckets.items())}
+    return DefectOperator(MatrixField(a.spec, a0 @ b0), terms)
+
+
+def _dagger(x: np.ndarray) -> np.ndarray:
+    """Per-node conjugate transpose of a (..., rows, cols) array."""
+    return np.conj(np.swapaxes(x, -1, -2))
 
 
 def adjoint(a: DefectOperator) -> DefectOperator:
     """Hermitian adjoint: A0 -> A0*, (A_j, B_j) -> (B_j*, A_j*)."""
-    terms = {
-        j: Term(pointwise_adjoint(t.b), pointwise_adjoint(t.a))
-        for j, t in a.terms.items()
-    }
-    return DefectOperator(pointwise_adjoint(a.a0), terms)
+    terms = {j: _term(a.spec, [(_dagger(t.b.data), _dagger(t.a.data))]) for j, t in a.terms.items()}
+    return DefectOperator(MatrixField(a.spec, _dagger(a.a0.data)), terms)
 
 
 def _compress_term(t: Term, budget: float) -> Term | None:
@@ -278,7 +280,7 @@ def _compress_term(t: Term, budget: float) -> Term | None:
     m, w = t.a.rows, t.width
     rows = spec.num_nodes * m
     q_a, r_a = np.linalg.qr(t.a.data.reshape(rows, w))
-    q_b, r_b = np.linalg.qr(pointwise_adjoint(t.b).data.reshape(rows, w))
+    q_b, r_b = np.linalg.qr(_dagger(t.b.data).reshape(rows, w))
     u, s, vh = np.linalg.svd(r_a @ r_b.conj().T, full_matrices=False)
     floor = np.linalg.norm(r_a) * np.linalg.norm(r_b) * max(rows, w) * np.finfo(float).eps
     k = int(np.sum(s > max(budget, floor)))
@@ -286,7 +288,7 @@ def _compress_term(t: Term, budget: float) -> Term | None:
         return None
     a = (q_a @ (u[:, :k] * s[:k])).reshape(spec.shape + (m, k))
     b_adj = (q_b @ vh[:k].conj().T).reshape(spec.shape + (m, k))
-    return Term(MatrixField(spec, a), pointwise_adjoint(MatrixField(spec, b_adj)))
+    return Term(MatrixField(spec, a), MatrixField(spec, _dagger(b_adj)))
 
 
 def compress(a: DefectOperator, tol: float = 0.0) -> DefectOperator:

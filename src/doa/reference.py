@@ -57,7 +57,7 @@ def demo_grid(n) -> GridSpec:
 
 def demo_profile_values(spec: GridSpec, profile: str = DEFAULT_PROFILE) -> np.ndarray:
     """The sampled profile as an (n1, n2) array."""
-    return sample([[profile]], spec, 1, 1).data[..., 0, 0]
+    return sample([[profile]], spec).data[..., 0, 0]
 
 
 def profile_mean_square(spec: GridSpec, profile: str = DEFAULT_PROFILE) -> np.ndarray:

@@ -81,7 +81,7 @@ def test_criterion_03_demo_trace_and_trace_norm():
 
 
 def test_criterion_04_demo_power_traces():
-    taus = power_traces(demo_operator(8), 6, compress_tol=1e-13)
+    taus = power_traces(demo_operator(8), 6)
     dev = 0.0
     for n, tau in enumerate(taus, start=1):
         got = np.array(tau.constant_values(tol=1e-6))

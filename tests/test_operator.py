@@ -141,7 +141,7 @@ def test_compose_mean_free_cross_term_vanishes():
     spec = grid66()
     from doa.grid import sample
 
-    f = sample([["sqrt(2)*sin(2*pi*k1)"]], spec, 1, 1)
+    f = sample([["sqrt(2)*sin(2*pi*k1)"]], spec)
     ones = MatrixField.constant(spec, [[1.0]])
     t1 = DefectOperator(MatrixField.zeros(spec, 1, 1), {1: Term(ones, ones)})
     t2 = DefectOperator(MatrixField.zeros(spec, 1, 1), {1: Term(f, ones)})

@@ -142,7 +142,7 @@ def test_demo_dense_spectrum():
 
 def test_multiplication_operator_spectrum_is_samples():
     spec = GridSpec((4, 4))
-    diag = sample([["k1", "0"], ["0", "2+k2"]], spec, 2, 2)
+    diag = sample([["k1", "0"], ["0", "2+k2"]], spec)
     op = DefectOperator(diag)
     eigs = np.sort_complex(dense_spectrum(op))
     samples = np.sort_complex(
