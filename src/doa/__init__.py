@@ -9,6 +9,7 @@ trace norm, spectrum-degree scans, a dense oracle and a JSON/CSV CLI.
 from .grid import (
     GridSpec,
     MatrixField,
+    NonFiniteError,
     ScalarComponents,
     sample,
 )
@@ -35,7 +36,6 @@ from .operator import (
 from .elimination import (
     EliminationOutcome,
     Invertible,
-    NonFiniteError,
     NonInvertible,
     NonInvertibleError,
     VectorDeterminant,

@@ -12,8 +12,11 @@ the output files):
 
 Exit codes: 0 success / invertible, 2 non-invertible (det), 1 usage or
 format error.  Documents may use the free symbol ``lambda``; it is evaluated
-with the ``--lambda re[,im]`` value.  ``spectrum`` evaluates such documents
-at each sweep point, and sweeps lam*I - A for documents without it.
+with the ``--lambda re[,im]`` value, and ``--lambda`` on a document without
+it is a usage error.  ``spectrum`` evaluates such documents at each sweep
+point, and sweeps lam*I - A for documents without it.  ``--zero-tol`` sets
+the elimination's zero threshold, so only ``det`` and ``spectrum`` take it:
+the trace, trace norm and power traces have no zero test.
 """
 
 from __future__ import annotations
@@ -33,10 +36,10 @@ from .document import (
     load_document,
     uses_lambda,
 )
-from .elimination import DEFAULT_ZERO_TOL, NonFiniteError, NonInvertible, eliminate, inverse
+from .elimination import DEFAULT_ZERO_TOL, NonInvertible, eliminate, inverse
 from .functional import power_traces, spectrum_scan, trace, trace_norm
-from .grid import ScalarComponents
-from .operator import StateVector, apply, pencil, state_norm
+from .grid import NonFiniteError, ScalarComponents
+from .operator import DefectOperator, StateVector, apply, pencil, state_norm
 from . import reference
 
 __all__ = ["main", "console_entry"]
@@ -90,13 +93,13 @@ def _parse_lambda(text: str) -> complex:
     raise _UsageError(f"--lambda expects finite 're' or 're,im', got {text!r}")
 
 
-def _fmt_complex(z: complex, digits: int = 12) -> str:
+def _fmt_complex(z: complex) -> str:
     z = complex(z)
-    re = f"{z.real:.{digits}g}"
+    re = f"{z.real:.12g}"
     if z.imag == 0:
         return re
     sign = "+" if z.imag >= 0 else "-"
-    return f"{re}{sign}{abs(z.imag):.{digits}g}i"
+    return f"{re}{sign}{abs(z.imag):.12g}i"
 
 
 def _print_components(name: str, comps: ScalarComponents):
@@ -169,14 +172,16 @@ def _write_components(path: str, fmt: str, quantity: str, entries):
     _write_text(path, text)
 
 
-def _operator_from_args(ns) -> "tuple":
-    doc = load_document(ns.file)
+def _operator_from_args(ns) -> DefectOperator:
     lam = _parse_lambda(ns.lam) if ns.lam is not None else None
-    return doc, build_operator(doc, lam)
+    doc = load_document(ns.file)
+    if lam is not None and not uses_lambda(doc):
+        raise _UsageError(f"--lambda given, but {ns.file} does not use lambda")
+    return build_operator(doc, lam)
 
 
 def _cmd_det(ns) -> int:
-    _, op = _operator_from_args(ns)
+    op = _operator_from_args(ns)
     outcome = eliminate(op, ns.zero_tol)
     if isinstance(outcome, NonInvertible):
         coords = op.spec.trailing(outcome.step).node_coords(outcome.witness_node)
@@ -193,7 +198,7 @@ def _cmd_det(ns) -> int:
 
 
 def _cmd_trace(ns) -> int:
-    _, op = _operator_from_args(ns)
+    op = _operator_from_args(ns)
     tau = trace(op)
     _print_components("tau", tau)
     if ns.out_file:
@@ -202,13 +207,13 @@ def _cmd_trace(ns) -> int:
 
 
 def _cmd_trace_norm(ns) -> int:
-    _, op = _operator_from_args(ns)
+    op = _operator_from_args(ns)
     print(f"trace_norm = {trace_norm(op):.17g}")
     return 0
 
 
 def _cmd_power_traces(ns) -> int:
-    _, op = _operator_from_args(ns)
+    op = _operator_from_args(ns)
     taus = power_traces(op, ns.n_max)
     for n, tau in enumerate(taus, start=1):
         _print_components(f"n={n}: tau", tau)
@@ -314,9 +319,9 @@ def _cmd_example3(ns) -> int:
         dev = max(dev, state_norm(StateVector(spec, got.values - want.values)) / state_norm(u))
     _check("resolvent at lambda=1 vs closed form", dev, 1e-9, failures)
 
-    if spec.num_nodes * op.m <= 4096:
-        from .oracle import dense_inverse_check
+    from .oracle import DEFAULT_CAP, dense_inverse_check
 
+    if spec.num_nodes * op.m <= DEFAULT_CAP:
         _check(
             "dense inverse residual at lambda=1",
             dense_inverse_check(pencil(lam, op)),
@@ -331,12 +336,15 @@ def _cmd_example3(ns) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, with_out: bool = True):
-    p.add_argument("file", help="operator document (JSON)")
-    p.add_argument("--lambda", dest="lam", default=None, help="value for the free symbol lambda: re[,im]")
+def _add_zero_tol(p: argparse.ArgumentParser):
     p.add_argument(
         "--zero-tol", type=_positive_float, default=DEFAULT_ZERO_TOL, help="relative zero threshold for elimination"
     )
+
+
+def _add_common(p: argparse.ArgumentParser, with_out: bool = True):
+    p.add_argument("file", help="operator document (JSON)")
+    p.add_argument("--lambda", dest="lam", default=None, help="value for the free symbol lambda: re[,im]")
     if with_out:
         p.add_argument("--out", choices=("json", "csv"), default="json", help="format for --out-file")
         p.add_argument("--out-file", default=None, help="write full per-node components here")
@@ -348,6 +356,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("det", help="vector determinant / invertibility")
     _add_common(p)
+    _add_zero_tol(p)
     p.set_defaults(fn=_cmd_det)
 
     p = sub.add_parser("trace", help="vector trace")
@@ -370,7 +379,7 @@ def build_parser() -> _Parser:
     p.add_argument("--im-min", type=_finite_float, default=0.0)
     p.add_argument("--im-max", type=_finite_float, default=0.0)
     p.add_argument("--samples", default="101", help="NRE or NRE,NIM sample counts")
-    p.add_argument("--zero-tol", type=_positive_float, default=DEFAULT_ZERO_TOL)
+    _add_zero_tol(p)
     p.add_argument("--out-file", default=None)
     p.set_defaults(fn=_cmd_spectrum)
 

@@ -28,6 +28,8 @@ its own scale) and max(1, max |pi_j|) for the correction steps, whose E_j
 is anchored at the identity; a correction determinant that is uniformly at
 round-off level is a genuine zero, which a purely relative rule would miss.
 A NaN or infinite pi_j admits no verdict and raises NonFiniteError.
+`eliminate` takes zero_tol; `determinant`, `inverse` and `factorize` use
+DEFAULT_ZERO_TOL.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import MatrixField, NonFiniteError, ScalarComponents, require_finite
+from .grid import MatrixField, ScalarComponents, require_finite
 from .operator import (
     DefectOperator,
     compose,
@@ -53,8 +55,6 @@ __all__ = [
     "NonInvertible",
     "EliminationOutcome",
     "NonInvertibleError",
-    "NonFiniteError",
-    "require_finite",
     "eliminate",
     "determinant",
     "inverse",
@@ -119,18 +119,7 @@ class NonInvertibleError(ValueError):
         self.outcome = outcome
 
 
-def _step_check(dets: np.ndarray, zero_tol: float, step: int):
-    vals = np.abs(dets)
-    require_finite(f"pi_{step}", vals)
-    node = np.unravel_index(int(np.argmin(vals)), vals.shape)
-    min_abs = float(vals[node])
-    max_abs = float(vals.max())
-    scale = max(1.0, max_abs) if step else max_abs
-    failed = min_abs <= max(zero_tol * scale, _ABS_FLOOR)
-    return failed, tuple(int(i) for i in node), min_abs
-
-
-@np.errstate(all="ignore")  # _step_check reports NaN/inf pi_j instead
+@np.errstate(all="ignore")  # step_check reports NaN/inf pi_j instead
 def eliminate(op: DefectOperator, zero_tol: float = DEFAULT_ZERO_TOL) -> EliminationOutcome:
     """Run the full elimination.
 
@@ -140,11 +129,22 @@ def eliminate(op: DefectOperator, zero_tol: float = DEFAULT_ZERO_TOL) -> Elimina
     """
     if not 0 < zero_tol < np.inf:  # also rejects NaN
         raise ValueError(f"zero_tol must be positive and finite, got {zero_tol!r}")
+
+    def step_check(dets: np.ndarray, step: int):
+        vals = np.abs(dets)
+        require_finite(f"pi_{step}", vals)
+        node = np.unravel_index(int(np.argmin(vals)), vals.shape)
+        min_abs = float(vals[node])
+        max_abs = float(vals.max())
+        scale = max(1.0, max_abs) if step else max_abs
+        failed = min_abs <= max(zero_tol * scale, _ABS_FLOOR)
+        return failed, tuple(int(i) for i in node), min_abs
+
     spec = op.spec
     n = spec.dims
 
     pis = [np.linalg.det(op.a0.data)]
-    failed, node, min_abs = _step_check(pis[0], zero_tol, 0)
+    failed, node, min_abs = step_check(pis[0], 0)
     mins = [min_abs]
     if failed:
         return NonInvertible(0, node, min_abs, tuple(mins))
@@ -163,7 +163,7 @@ def eliminate(op: DefectOperator, zero_tol: float = DEFAULT_ZERO_TOL) -> Elimina
         gathered = (bj @ current[j]).mean(axis=tuple(range(j)))
         e = np.eye(gathered.shape[-1]) + gathered
         pis.append(np.linalg.det(e))
-        failed, node, min_abs = _step_check(pis[j], zero_tol, j)
+        failed, node, min_abs = step_check(pis[j], j)
         mins.append(min_abs)
         if failed:
             return NonInvertible(j, node, min_abs, tuple(mins))
@@ -183,23 +183,23 @@ def eliminate(op: DefectOperator, zero_tol: float = DEFAULT_ZERO_TOL) -> Elimina
     return Invertible(VectorDeterminant(pi), MatrixField(spec, a0_inv), tuple(steps), tuple(mins))
 
 
-def _require_invertible(op: DefectOperator, zero_tol: float) -> Invertible:
-    outcome = eliminate(op, zero_tol)
+def _require_invertible(op: DefectOperator) -> Invertible:
+    outcome = eliminate(op)
     if isinstance(outcome, NonInvertible):
         raise NonInvertibleError(outcome)
     return outcome
 
 
-def determinant(op: DefectOperator, zero_tol: float = DEFAULT_ZERO_TOL) -> VectorDeterminant:
+def determinant(op: DefectOperator) -> VectorDeterminant:
     """The vector determinant; multiplicative under composition.
 
     Raises NonInvertibleError (carrying the failing step and witness) when
     some component vanishes.
     """
-    return _require_invertible(op, zero_tol).pi
+    return _require_invertible(op).pi
 
 
-def inverse(op: DefectOperator, zero_tol: float = DEFAULT_ZERO_TOL) -> DefectOperator:
+def inverse(op: DefectOperator) -> DefectOperator:
     """The inverse operator, in canonical form.
 
     Built as the reversed product of elementary inverses
@@ -207,7 +207,7 @@ def inverse(op: DefectOperator, zero_tol: float = DEFAULT_ZERO_TOL) -> DefectOpe
     compressed with tol = 0, so its inner widths are minimal up to
     round-off instead of growing with every product.
     """
-    outcome = _require_invertible(op, zero_tol)
+    outcome = _require_invertible(op)
     acc = multiplication_operator(outcome.a0_inv)
     for step in outcome.steps:
         if step is None:
@@ -218,13 +218,13 @@ def inverse(op: DefectOperator, zero_tol: float = DEFAULT_ZERO_TOL) -> DefectOpe
     return compress(acc, 0.0)
 
 
-def factorize(op: DefectOperator, zero_tol: float = DEFAULT_ZERO_TOL) -> list[DefectOperator]:
+def factorize(op: DefectOperator) -> list[DefectOperator]:
     """Ordered elementary factors [A0., I + A_{1,0}<B_1 .>_1, ...].
 
     Their left-to-right composition reproduces the operator; absent levels
     yield identity factors.
     """
-    outcome = _require_invertible(op, zero_tol)
+    outcome = _require_invertible(op)
     factors = [multiplication_operator(op.a0)]
     for j in range(1, op.n + 1):
         step = outcome.steps[j - 1]

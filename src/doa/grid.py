@@ -140,9 +140,8 @@ class MatrixField:
 
 
 def sample(expr_table, spec: GridSpec, symbols=None) -> MatrixField:
-    """Evaluate a rectangular table of expressions at every grid node.
+    """Evaluate a rectangular table of expression strings at every grid node.
 
-    Entries may be parsed ``FieldExpr`` trees or raw expression strings.
     Expressions may only reference coordinates k1..kd of `spec`, and free
     symbols take their values from `symbols` (see `doa.expr.evaluate`).
     Each entry is evaluated once over the whole grid; an ExprError carries
@@ -157,8 +156,7 @@ def sample(expr_table, spec: GridSpec, symbols=None) -> MatrixField:
     for r, row in enumerate(expr_table):
         for c, entry in enumerate(row):
             try:
-                tree = _expr.parse(entry) if isinstance(entry, str) else entry
-                data[..., r, c] = _expr.evaluate(tree, axes, symbols)
+                data[..., r, c] = _expr.evaluate(_expr.parse(entry), axes, symbols)
             except _expr.ExprError as exc:
                 exc.entry = (r, c)
                 raise

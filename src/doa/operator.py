@@ -291,7 +291,7 @@ def _compress_term(t: Term, budget: float) -> Term | None:
     return Term(MatrixField(spec, a), MatrixField(spec, _dagger(b_adj)))
 
 
-def compress(a: DefectOperator, tol: float = 0.0) -> DefectOperator:
+def compress(a: DefectOperator, tol: float) -> DefectOperator:
     """Reduce all inner widths; the map changes by at most `tol` in the
     discrete operator norm (`tol = 0` removes only exact rank deficiency).
 

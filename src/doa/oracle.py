@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elimination import DEFAULT_ZERO_TOL, inverse
+from .elimination import inverse
 from .grid import GridSpec, MatrixField
 from .operator import DefectOperator, StateVector
 
@@ -67,17 +67,17 @@ class DenseRealization:
         return self.spec.flat_index(node_multi_index) * self.m + int(component)
 
 
-def assemble(op: DefectOperator, cap: int = DEFAULT_CAP) -> DenseRealization:
+def assemble(op: DefectOperator) -> DenseRealization:
     """Dense matrix D with D @ vec(u) = vec(apply(op, u)).
 
-    Refuses to build matrices larger than `cap` on a side.
+    Refuses, before allocating, matrices larger than DEFAULT_CAP on a side.
     """
     spec = op.spec
     nn = spec.num_nodes
     m = op.m
     size = nn * m
-    if size > cap:
-        raise ValueError(f"dense size {size} exceeds cap {cap}")
+    if size > DEFAULT_CAP:
+        raise ValueError(f"dense size {size} exceeds cap {DEFAULT_CAP}")
 
     mat = np.zeros((nn, m, nn, m), dtype=np.complex128)
     idx = np.arange(nn)
@@ -98,18 +98,14 @@ def assemble(op: DefectOperator, cap: int = DEFAULT_CAP) -> DenseRealization:
     return DenseRealization(mat.reshape(size, size), spec, m)
 
 
-def dense_spectrum(op: DefectOperator, cap: int = DEFAULT_CAP) -> np.ndarray:
+def dense_spectrum(op: DefectOperator) -> np.ndarray:
     """Eigenvalues of the dense realization."""
-    return np.linalg.eigvals(assemble(op, cap).matrix)
+    return np.linalg.eigvals(assemble(op).matrix)
 
 
-def dense_inverse_check(
-    op: DefectOperator,
-    zero_tol: float = DEFAULT_ZERO_TOL,
-    cap: int = DEFAULT_CAP,
-) -> float:
+def dense_inverse_check(op: DefectOperator) -> float:
     """max |assemble(op) @ assemble(inverse(op)) - I|."""
-    dense = assemble(op, cap).matrix
-    dense_inv = assemble(inverse(op, zero_tol), cap).matrix
+    dense = assemble(op).matrix
+    dense_inv = assemble(inverse(op)).matrix
     residual = dense @ dense_inv - np.eye(dense.shape[0])
     return float(np.max(np.abs(residual)))

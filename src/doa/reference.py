@@ -18,8 +18,11 @@ for <f^2>_1, the pencil lam*I - A has closed forms
     power traces of A itself:  (-1)^n (0, 1+s^n, 2^n-1)   (constant s)
 
 which makes the example a complete end-to-end check of the library.  The
-helpers below compute everything by direct summation on the sampled
-profile, independent of the operator machinery.
+scalar closed forms below (`demo_determinant`, `demo_trace`,
+`demo_trace_norm`, `demo_power_trace`) are those of the default profile,
+s = 1; a k2-dependent s(k2), such as MODULATED_PROFILE's, has no scalar
+closed form.  The other helpers compute by direct summation on the
+sampled profile, independent of the operator machinery.
 """
 
 from __future__ import annotations
@@ -27,16 +30,14 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import GridSpec, MatrixField, sample
-from .operator import DefectOperator, StateVector, Term, pencil
+from .operator import DefectOperator, StateVector, Term
 
 __all__ = [
     "DEFAULT_PROFILE",
     "MODULATED_PROFILE",
-    "demo_grid",
     "demo_profile_values",
     "profile_mean_square",
     "demo_operator",
-    "demo_pencil",
     "demo_determinant",
     "demo_trace",
     "demo_trace_norm",
@@ -47,12 +48,6 @@ __all__ = [
 DEFAULT_PROFILE = "sqrt(2)*sin(2*pi*k1)"
 # a k2-dependent variant; its mean square along k1 is (1 + cos(2 pi k2)/2)^2
 MODULATED_PROFILE = "sqrt(2)*sin(2*pi*k1)*(1+cos(2*pi*k2)/2)"
-
-
-def demo_grid(n) -> GridSpec:
-    if isinstance(n, int):
-        return GridSpec((n, n))
-    return GridSpec(tuple(n))
 
 
 def demo_profile_values(spec: GridSpec, profile: str = DEFAULT_PROFILE) -> np.ndarray:
@@ -66,9 +61,9 @@ def profile_mean_square(spec: GridSpec, profile: str = DEFAULT_PROFILE) -> np.nd
     return (f * f).mean(axis=0)
 
 
-def demo_operator(n, profile: str = DEFAULT_PROFILE) -> DefectOperator:
-    """The operator A itself (a0 = 0)."""
-    spec = demo_grid(n)
+def demo_operator(n: int, profile: str = DEFAULT_PROFILE) -> DefectOperator:
+    """The operator A itself (a0 = 0) on the n x n grid."""
+    spec = GridSpec((n, n))
     f = demo_profile_values(spec, profile)
     ones = np.ones(spec.shape, dtype=np.complex128)
     a1 = np.stack([-ones, -f], axis=-1)[..., None, :]  # 1 x 2
@@ -84,35 +79,26 @@ def demo_operator(n, profile: str = DEFAULT_PROFILE) -> DefectOperator:
     )
 
 
-def demo_pencil(lam: complex, n, profile: str = DEFAULT_PROFILE) -> DefectOperator:
-    """lam*I - A."""
-    return pencil(lam, demo_operator(n, profile))
-
-
-def demo_determinant(lam: complex, mean_f2: complex = 1.0) -> tuple[complex, complex, complex]:
+def demo_determinant(lam: complex) -> tuple[complex, complex, complex]:
+    """pi(lam*I - A) at s = 1."""
     lam = complex(lam)
-    return (
-        lam,
-        (lam + 1) * (lam + mean_f2) / lam**2,
-        (lam + 2) / (lam + 1),
-    )
+    return (lam, (lam + 1) * (lam + 1) / lam**2, (lam + 2) / (lam + 1))
 
 
-def demo_trace(lam: complex, mean_f2: complex = 1.0) -> tuple[complex, complex, complex]:
-    return (complex(lam), 1 + complex(mean_f2), 1.0 + 0j)
+def demo_trace(lam: complex) -> tuple[complex, complex, complex]:
+    """tau(lam*I - A) at s = 1."""
+    return (complex(lam), 2.0 + 0j, 1.0 + 0j)
 
 
-def demo_trace_norm(lam: complex, max_mean_f2: float = 1.0) -> float:
-    return abs(complex(lam)) + 2.0 + float(max_mean_f2)
+def demo_trace_norm(lam: complex) -> float:
+    """The trace norm of lam*I - A at s = 1."""
+    return abs(complex(lam)) + 2.0 + 1.0  # |lam| + 2 + max s
 
 
-def demo_power_trace(n_power: int, mean_f2: complex = 1.0) -> tuple[complex, complex, complex]:
+def demo_power_trace(n_power: int) -> tuple[complex, complex, complex]:
+    """tau(A^n) at s = 1."""
     sign = (-1.0) ** n_power
-    return (
-        0.0 + 0j,
-        sign * (1 + complex(mean_f2) ** n_power),
-        sign * (2.0**n_power - 1),
-    )
+    return (0.0 + 0j, sign * 2.0, sign * (2.0**n_power - 1))
 
 
 def apply_demo_resolvent(

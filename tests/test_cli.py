@@ -203,6 +203,15 @@ USAGE_ERRORS = [
     ["spectrum", OPERATOR, "--re-min", "0", "--re-max", "1", "--im-max", "nan"],
     ["power-traces", IDENTITY, "--n-max", "0"],
     ["power-traces", IDENTITY, "--n-max", "x"],
+    # only the elimination has a zero test
+    ["trace", OPERATOR, "--zero-tol", "1e-3"],
+    ["trace-norm", OPERATOR, "--zero-tol", "1e-3"],
+    ["power-traces", OPERATOR, "--zero-tol", "1e-3"],
+    # --lambda on a document without lambda
+    ["det", OPERATOR, "--lambda", "3"],
+    ["det", IDENTITY, "--lambda", "3"],
+    ["trace", OPERATOR, "--lambda", "3"],
+    ["trace", IDENTITY, "--lambda", "3"],
 ]
 
 
@@ -213,6 +222,11 @@ def test_usage_error_exit_one(capsys):
         assert captured.out == "", argv
         assert captured.err.startswith("error:"), argv
         assert "Traceback" not in captured.err, argv
+
+
+def test_lambda_without_lambda_in_document_names_the_file(capsys):
+    assert main(["trace-norm", OPERATOR, "--lambda", "3"]) == 1
+    assert capsys.readouterr().err == f"error: --lambda given, but {OPERATOR} does not use lambda\n"
 
 
 def test_spectrum_accepts_integral_floats(tmp_path):

@@ -1,6 +1,7 @@
 """Dense-realization oracle tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,8 +219,15 @@ def test_dense_inverse_check_random():
 
 
 def test_cap_enforced():
-    op = identity_operator(GridSpec((5, 5)), 2)
+    op = identity_operator(GridSpec((65, 64)), 1)  # 4160 unknowns
+    assert op.spec.num_nodes > DEFAULT_CAP
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="cap"):
+            assemble(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # refused before the 277 MB dense matrix exists
     with pytest.raises(ValueError, match="cap"):
-        assemble(op, cap=10)
-    with pytest.raises(ValueError, match="cap"):
-        dense_spectrum(op, cap=10)
+        dense_spectrum(op)
