@@ -13,7 +13,7 @@ from .grid import (
     ScalarComponents,
     sample,
 )
-from .expr import ExprError, ExprEvalError, ExprSyntaxError, FieldExpr, evaluate, parse, to_text
+from .expr import ExprError, ExprEvalError, ExprSyntaxError, FieldExpr, evaluate, parse
 from .operator import (
     DefectOperator,
     StateVector,
@@ -61,7 +61,6 @@ from .document import (
     OperatorDocument,
     build_operator,
     document_from_dict,
-    document_to_json,
     load_document,
     uses_lambda,
 )

@@ -14,10 +14,12 @@ A document describes a canonical-form operator textually:
       ]
     }
 
-Every entry is an expression string (see `doa.expr` for the grammar).  The
-identifier ``lambda`` may appear as a free symbol; `build_operator`
-evaluates it with a concrete complex number.  Levels must be distinct and
-within 1..n_dims; `a` must be m x w and `b` w x m for some width w >= 1.
+Every entry is an expression string (see `doa.expr` for the grammar),
+parsed once when the document is loaded: an `OperatorDocument` holds the
+parsed trees.  The identifier ``lambda`` may appear as a free symbol;
+`build_operator` evaluates it with a concrete complex number.  Levels must
+be distinct and within 1..n_dims; `a` must be m x w and `b` w x m for some
+width w >= 1.
 
 Serialization of numeric results uses 17 significant digits so that values
 round-trip bit-faithfully; complex numbers are written as [re, im] pairs.
@@ -41,8 +43,6 @@ __all__ = [
     "DocumentFormatError",
     "load_document",
     "document_from_dict",
-    "document_to_dict",
-    "document_to_json",
     "uses_lambda",
     "build_operator",
     "dumps17",
@@ -53,11 +53,14 @@ class DocumentFormatError(ValueError):
     """The document is malformed (JSON, schema, shapes or expressions)."""
 
 
+Matrix = tuple[tuple[_expr.FieldExpr, ...], ...]
+
+
 @dataclass(frozen=True)
 class DocumentTerm:
     level: int
-    a: tuple[tuple[str, ...], ...]
-    b: tuple[tuple[str, ...], ...]
+    a: Matrix
+    b: Matrix
 
 
 @dataclass(frozen=True)
@@ -65,12 +68,8 @@ class OperatorDocument:
     n_dims: int
     m: int
     grid: tuple[int, ...]
-    a0: tuple[tuple[str, ...], ...]
+    a0: Matrix
     terms: tuple[DocumentTerm, ...] = ()
-
-
-def _matrix(rows) -> tuple[tuple[str, ...], ...]:
-    return tuple(map(tuple, rows))
 
 
 def _schema_error(path, message: str) -> DocumentFormatError:
@@ -147,25 +146,28 @@ def _matrices(doc: OperatorDocument):
         yield f"terms[level={t.level}].b", t.b
 
 
-def _check_expressions(doc: OperatorDocument):
-    for name, mat in _matrices(doc):
-        for i, row in enumerate(mat):
-            for k, text in enumerate(row):
-                try:
-                    tree = _expr.parse(text)
-                except _expr.ExprError as exc:
-                    raise DocumentFormatError(f"{name}[{i}][{k}]: {exc}") from exc
-                top = tree.max_coord_index()
-                if top > doc.n_dims:
-                    raise DocumentFormatError(
-                        f"{name}[{i}][{k}]: references k{top} but n_dims = {doc.n_dims}"
-                    )
+def _parse_entry(where: str, text: str, n_dims: int) -> _expr.FieldExpr:
+    try:
+        tree = _expr.parse(text)
+    except _expr.ExprError as exc:
+        raise DocumentFormatError(f"{where}: {exc}") from exc
+    top = tree.max_coord_index()
+    if top > n_dims:
+        raise DocumentFormatError(f"{where}: references k{top} but n_dims = {n_dims}")
+    return tree
+
+
+def _parse_matrix(name: str, rows, n_dims: int) -> Matrix:
+    return tuple(
+        tuple(_parse_entry(f"{name}[{i}][{k}]", text, n_dims) for k, text in enumerate(row))
+        for i, row in enumerate(rows)
+    )
 
 
 def document_from_dict(raw: dict) -> OperatorDocument:
     """Check a raw dict against the rules of the schema file (integral floats
-    count as integers and are stored as ints), then the structural rules:
-    shapes, levels and expressions."""
+    count as integers and are stored as ints), then the structural rules
+    (shapes and levels), then parse every expression entry."""
     _check_schema(raw)
 
     n_dims = int(raw["n_dims"])
@@ -175,28 +177,29 @@ def document_from_dict(raw: dict) -> OperatorDocument:
         raise DocumentFormatError(
             f"grid lists {len(grid)} resolutions but n_dims = {n_dims}"
         )
-    a0 = _matrix(raw["a0"])
-    _check_matrix_shape("a0", a0, m, m)
+    _check_matrix_shape("a0", raw["a0"], m, m)
 
-    terms = []
-    seen = set()
+    items = {}
     for item in raw.get("terms", []):
         level = int(item["level"])
         if not 1 <= level <= n_dims:
             raise DocumentFormatError(f"term level {level} outside 1..{n_dims}")
-        if level in seen:
+        if level in items:
             raise DocumentFormatError(f"duplicate term level {level}")
-        seen.add(level)
-        a = _matrix(item["a"])
-        b = _matrix(item["b"])
-        width = _check_matrix_shape(f"terms[level={level}].a", a, m, None)
-        _check_matrix_shape(f"terms[level={level}].b", b, width, m)
-        terms.append(DocumentTerm(level, a, b))
-    terms.sort(key=lambda t: t.level)
+        width = _check_matrix_shape(f"terms[level={level}].a", item["a"], m, None)
+        _check_matrix_shape(f"terms[level={level}].b", item["b"], width, m)
+        items[level] = item
 
-    doc = OperatorDocument(n_dims, m, grid, a0, tuple(terms))
-    _check_expressions(doc)
-    return doc
+    a0 = _parse_matrix("a0", raw["a0"], n_dims)
+    terms = tuple(
+        DocumentTerm(
+            level,
+            _parse_matrix(f"terms[level={level}].a", items[level]["a"], n_dims),
+            _parse_matrix(f"terms[level={level}].b", items[level]["b"], n_dims),
+        )
+        for level in sorted(items)
+    )
+    return OperatorDocument(n_dims, m, grid, a0, terms)
 
 
 def load_document(path) -> OperatorDocument:
@@ -214,7 +217,7 @@ def load_document(path) -> OperatorDocument:
 
 
 def uses_lambda(doc: OperatorDocument) -> bool:
-    trees = (_expr.parse(e) for _, mat in _matrices(doc) for row in mat for e in row)
+    trees = (tree for _, mat in _matrices(doc) for row in mat for tree in row)
     return any(isinstance(node, _expr.Sym) for t in trees for node in _expr.walk(t))
 
 
@@ -244,29 +247,6 @@ def build_operator(doc: OperatorDocument, lam: complex | None = None) -> DefectO
     a0, *ab = fields
     terms = {t.level: Term(a, b) for t, a, b in zip(doc.terms, ab[::2], ab[1::2])}
     return DefectOperator(a0, terms)
-
-
-def document_to_dict(doc: OperatorDocument) -> dict:
-    out = {
-        "n_dims": doc.n_dims,
-        "m": doc.m,
-        "grid": list(doc.grid),
-        "a0": [list(row) for row in doc.a0],
-    }
-    if doc.terms:
-        out["terms"] = [
-            {
-                "level": t.level,
-                "a": [list(row) for row in t.a],
-                "b": [list(row) for row in t.b],
-            }
-            for t in doc.terms
-        ]
-    return out
-
-
-def document_to_json(doc: OperatorDocument) -> str:
-    return dumps17(document_to_dict(doc), indent=2)
 
 
 def _fill(template: str, values) -> str:

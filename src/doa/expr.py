@@ -16,9 +16,11 @@ Grammar (whitespace-insensitive, left-associative binary operators):
 
 ``lambda`` is a free symbol (`Sym`) whose value `evaluate` takes from ``symbols``.
 
-Trees are immutable; `to_text` prints a tree with minimal parentheses such
-that re-parsing yields an identical tree (identical up to source offsets;
-programmatically built negative literals print as a leading minus instead).
+Trees are immutable.  Nesting has no fixed limit, but a tree deeper than
+Python's recursion limit allows (a few hundred levels of parentheses, unary
+minus or calls; a sum or product of about a thousand terms, which parses as
+a left-leaning chain) raises "expression nested too deeply": ExprSyntaxError
+from `parse`, ExprEvalError from `evaluate`.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ __all__ = [
     "ExprEvalError",
     "parse",
     "evaluate",
-    "to_text",
     "walk",
 ]
 
@@ -78,9 +79,6 @@ class FieldExpr:
     def max_coord_index(self) -> int:
         """Largest coordinate index referenced, 0 if none."""
         return max((n.index for n in walk(self) if isinstance(n, Coord)), default=0)
-
-    def __str__(self) -> str:
-        return to_text(self)
 
 
 @dataclass(frozen=True)
@@ -136,10 +134,11 @@ class Call(FieldExpr):
 
 def walk(tree: FieldExpr):
     """Yield every node of a tree, parents before children."""
-    yield tree
-    for child in vars(tree).values():
-        if isinstance(child, FieldExpr):
-            yield from walk(child)
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed([c for c in vars(node).values() if isinstance(c, FieldExpr)]))
 
 
 _NUMBER_RE = re.compile(r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?i?")
@@ -294,7 +293,11 @@ def parse(text: str) -> FieldExpr:
     """Parse an expression string into a tree."""
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression", 0)
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ExprSyntaxError("expression nested too deeply", parser.peek().pos) from None
 
 
 def evaluate(tree: FieldExpr, coords, symbols=None):
@@ -308,10 +311,14 @@ def evaluate(tree: FieldExpr, coords, symbols=None):
     polar form).
     Raises ExprEvalError where any element divides by zero, takes ``sqrt`` of
     a negative real or overflows (``sin``, ``cos``, ``exp`` or ``^`` of a
-    finite argument is not finite), and on a missing coordinate or symbol.
+    finite argument is not finite), on a missing coordinate or symbol, and
+    on a tree nested too deeply to evaluate.
     """
-    with np.errstate(all="ignore"):
-        return _eval(tree, coords, symbols or {})[()]
+    try:
+        with np.errstate(all="ignore"):
+            return _eval(tree, coords, symbols or {})[()]
+    except RecursionError:
+        raise ExprEvalError("expression nested too deeply", tree.pos) from None
 
 
 def _eval(tree: FieldExpr, coords, symbols) -> np.ndarray:
@@ -405,70 +412,3 @@ def _sqrt(z) -> np.ndarray:
     right = z.real >= 0
     out = _complex(np.where(right, s, d), np.copysign(np.where(right, d, s), z.imag))
     return np.where(np.isfinite(z), out, np.sqrt(z))
-
-
-_ATOM, _POW, _NEG, _MUL, _ADD = 5, 4, 3, 2, 1
-
-
-def _prec(tree: FieldExpr) -> int:
-    if isinstance(tree, (Lit, PiConst, Coord, Sym, Call)):
-        if isinstance(tree, Lit) and _is_negative_literal(tree.value):
-            return _NEG  # prints with a leading minus
-        return _ATOM
-    if isinstance(tree, Pow):
-        return _POW
-    if isinstance(tree, Neg):
-        return _NEG
-    if isinstance(tree, BinOp):
-        return _MUL if tree.op in "*/" else _ADD
-    raise TypeError(f"not an expression node: {tree!r}")
-
-
-def _is_negative_literal(z: complex) -> bool:
-    if z.imag == 0:
-        return z.real < 0
-    if z.real == 0:
-        return z.imag < 0
-    return False
-
-
-def _fmt_real(x: float) -> str:
-    if x == int(x) and abs(x) < 1e15:
-        return str(int(x))
-    return repr(x)
-
-
-def _fmt_literal(z: complex) -> str:
-    if z.imag == 0:
-        return _fmt_real(z.real)
-    if z.real == 0:
-        return _fmt_real(z.imag) + "i"
-    sign = "+" if z.imag > 0 else "-"
-    return f"({_fmt_real(z.real)}{sign}{_fmt_real(abs(z.imag))}i)"
-
-
-def _wrap(tree: FieldExpr, min_prec: int) -> str:
-    text = to_text(tree)
-    return f"({text})" if _prec(tree) < min_prec else text
-
-
-def to_text(tree: FieldExpr) -> str:
-    """Print a tree so that parsing the result reproduces the tree."""
-    if isinstance(tree, Lit):
-        return _fmt_literal(tree.value)
-    if isinstance(tree, PiConst):
-        return "pi"
-    if isinstance(tree, Coord):
-        return f"k{tree.index}"
-    if isinstance(tree, Sym):
-        return tree.name
-    if isinstance(tree, Call):
-        return f"{tree.func}({to_text(tree.arg)})"
-    if isinstance(tree, Neg):
-        return "-" + _wrap(tree.operand, _NEG)
-    if isinstance(tree, Pow):
-        return f"{_wrap(tree.base, _ATOM)}^{tree.exponent}"
-    if isinstance(tree, BinOp):
-        prec = _prec(tree)
-        return f"{_wrap(tree.left, prec)}{tree.op}{_wrap(tree.right, prec + 1)}"
-    raise TypeError(f"not an expression node: {tree!r}")

@@ -140,7 +140,8 @@ class MatrixField:
 
 
 def sample(expr_table, spec: GridSpec, symbols=None) -> MatrixField:
-    """Evaluate a rectangular table of expression strings at every grid node.
+    """Evaluate a rectangular table of parsed expression trees (see
+    `doa.expr.parse`) at every grid node.
 
     Expressions may only reference coordinates k1..kd of `spec`, and free
     symbols take their values from `symbols` (see `doa.expr.evaluate`).
@@ -156,7 +157,7 @@ def sample(expr_table, spec: GridSpec, symbols=None) -> MatrixField:
     for r, row in enumerate(expr_table):
         for c, entry in enumerate(row):
             try:
-                data[..., r, c] = _expr.evaluate(_expr.parse(entry), axes, symbols)
+                data[..., r, c] = _expr.evaluate(entry, axes, symbols)
             except _expr.ExprError as exc:
                 exc.entry = (r, c)
                 raise

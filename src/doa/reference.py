@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .expr import parse
 from .grid import GridSpec, MatrixField, sample
 from .operator import DefectOperator, StateVector, Term
 
@@ -52,7 +53,7 @@ MODULATED_PROFILE = "sqrt(2)*sin(2*pi*k1)*(1+cos(2*pi*k2)/2)"
 
 def demo_profile_values(spec: GridSpec, profile: str = DEFAULT_PROFILE) -> np.ndarray:
     """The sampled profile as an (n1, n2) array."""
-    return sample([[profile]], spec).data[..., 0, 0]
+    return sample([[parse(profile)]], spec).data[..., 0, 0]
 
 
 def profile_mean_square(spec: GridSpec, profile: str = DEFAULT_PROFILE) -> np.ndarray:

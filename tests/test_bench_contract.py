@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 import doa.cli
+import doa.document
 import doa.elimination
 import doa.expr
 import doa.grid
@@ -29,4 +30,5 @@ def test_powers_workload_builds_its_expected_values(tmp_path, monkeypatch):
 
 def test_tracer_lookup_names():
     assert doa.grid._expr is doa.expr
+    assert doa.document._expr is doa.expr
     assert doa.cli.eliminate is doa.elimination.eliminate

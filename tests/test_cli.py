@@ -369,7 +369,12 @@ def test_spectrum_golden_digest(tmp_path):
         ("exp(700)*exp(700)-exp(700)*exp(700)", [4], "a0[0][0]: non-finite value at node (0,)"),
         ("1/k1 + exp(700)*exp(700)", [4], "a0[0][0]: non-finite value at node (0,)"),
         ("sin(1e999)", [4], "a0[0][0]: non-finite value at node (0,)"),
+        ("(" * 3000 + "1" + ")" * 3000, [4], "a0[0][0]: expression nested too deeply"),
+        ("-" * 3000 + "1", [4], "a0[0][0]: expression nested too deeply"),
+        ("+".join(["k1"] * 3000), [4], "a0[0][0]: expression nested too deeply"),
+        ("sin(" * 400 + "k1" + ")" * 400, [4], "a0[0][0]: expression nested too deeply"),
     ],
+    ids=lambda v: f"{v[:8]}...({len(v)} chars)" if isinstance(v, str) and len(v) > 200 else None,
 )
 def test_unevaluable_or_non_finite_entry_exit_one(tmp_path, capsys, entry, grid, message):
     doc = tmp_path / "bad.json"
@@ -378,6 +383,25 @@ def test_unevaluable_or_non_finite_entry_exit_one(tmp_path, capsys, entry, grid,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {message}")
+
+
+def test_long_sum_entry_exit_zero(tmp_path, capsys):
+    # long but shallow in the grammar: no depth cap rejects it
+    doc = tmp_path / "long.json"
+    doc.write_text(json.dumps({"n_dims": 1, "m": 1, "grid": [2], "a0": [["+".join(["k1"] * 900)]]}))
+    assert main(["det", str(doc)]) == 0
+    assert capsys.readouterr().out == "pi = [min|.|=225..max|.|=675, 1]\n"
+
+
+def test_spectrum_parses_each_entry_once(monkeypatch, capsys):
+    import doa.expr
+
+    calls = []
+    parse = doa.expr.parse
+    monkeypatch.setattr(doa.expr, "parse", lambda text: calls.append(text) or parse(text))
+    argv = ["spectrum", PENCIL, "--re-min", "-3", "--re-max", "1", "--samples", "41"]
+    assert main(argv) == 0
+    assert len(calls) == 7  # the document's entries, at load
 
 
 def test_non_finite_term_entry_names_the_term(tmp_path, capsys):

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from doa.expr import parse
 from doa.grid import GridSpec, MatrixField, ScalarComponents, sample
 from helpers import random_field
 
@@ -23,12 +24,12 @@ def mean_first(x: np.ndarray, j: int) -> np.ndarray:
 
 def test_midpoint_nodes():
     spec = GridSpec((2,))
-    f = sample([["k1"]], spec)
+    f = sample([[parse("k1")]], spec)
     assert np.allclose(f.data[..., 0, 0], [0.25, 0.75])
 
 
 def test_zero_expression():
-    f = sample([["0"]], GridSpec((3, 4)))
+    f = sample([[parse("0")]], GridSpec((3, 4)))
     assert np.all(f.data == 0)
 
 
@@ -38,13 +39,13 @@ def test_sine_mean_square_exact():
     n = 8
     direct = sum(math.sin(2 * math.pi * (t + 0.5) / n) ** 2 for t in range(n))
     assert abs(direct - n / 2) < 1e-13
-    f = sample([["sqrt(2)*sin(2*pi*k1)"]], GridSpec((n,)))
+    f = sample([[parse("sqrt(2)*sin(2*pi*k1)")]], GridSpec((n,)))
     assert abs(np.mean(np.abs(f.data) ** 2) - 1.0) < 1e-14
 
 
 def test_sample_rejects_out_of_range_coordinate():
     with pytest.raises(ValueError, match="k2"):
-        sample([["k2"]], GridSpec((4,)))
+        sample([[parse("k2")]], GridSpec((4,)))
 
 
 def test_integrate_constant():
@@ -57,7 +58,7 @@ def test_integrate_constant():
 
 
 def test_integrate_linear_midpoint_mean():
-    f = sample([["k1"]], GridSpec((4,)))
+    f = sample([[parse("k1")]], GridSpec((4,)))
     out = mean_first(f.data, 1)
     assert out.shape == (1, 1)
     assert abs(out[0, 0] - 0.5) < 1e-15
@@ -68,7 +69,7 @@ def test_integrate_sine_mean_zero():
     n = 8
     direct = sum(math.sin(2 * math.pi * (t + 0.5) / n) for t in range(n))
     assert abs(direct) < 1e-13
-    f = sample([["sqrt(2)*sin(2*pi*k1)"]], GridSpec((n, n)))
+    f = sample([[parse("sqrt(2)*sin(2*pi*k1)")]], GridSpec((n, n)))
     out = mean_first(f.data, 1)
     assert out.shape == (n, 1, 1)
     assert np.max(np.abs(out)) < 1e-15
@@ -116,7 +117,7 @@ def test_lift_then_integrate_is_identity():
 
 
 def test_lift_independent_of_prepended_axis():
-    f = sample([["k1"]], GridSpec((4,)))  # becomes k2 after broadcasting
+    f = sample([[parse("k1")]], GridSpec((4,)))  # becomes k2 after broadcasting
     out = np.ones((4, 1, 1, 1)) * f.data
     assert out.shape == (4, 4, 1, 1)
     assert np.array_equal(out[0], out[3])

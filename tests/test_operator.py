@@ -139,9 +139,10 @@ def test_compose_level_structure():
 def test_compose_mean_free_cross_term_vanishes():
     # two level-1 rank-1 terms whose B1 A1' has zero mean along k1
     spec = grid66()
+    from doa.expr import parse
     from doa.grid import sample
 
-    f = sample([["sqrt(2)*sin(2*pi*k1)"]], spec)
+    f = sample([[parse("sqrt(2)*sin(2*pi*k1)")]], spec)
     ones = MatrixField.constant(spec, [[1.0]])
     t1 = DefectOperator(MatrixField.zeros(spec, 1, 1), {1: Term(ones, ones)})
     t2 = DefectOperator(MatrixField.zeros(spec, 1, 1), {1: Term(f, ones)})

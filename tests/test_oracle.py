@@ -23,6 +23,7 @@ from doa import (
     spectrum_scan,
     trace_norm,
 )
+from doa.expr import parse
 from doa.grid import sample
 from doa.oracle import DEFAULT_CAP, assemble, dense_inverse_check, dense_spectrum, unvec, vec
 from doa.reference import demo_operator
@@ -143,7 +144,7 @@ def test_demo_dense_spectrum():
 
 def test_multiplication_operator_spectrum_is_samples():
     spec = GridSpec((4, 4))
-    diag = sample([["k1", "0"], ["0", "2+k2"]], spec)
+    diag = sample([[parse("k1"), parse("0")], [parse("0"), parse("2+k2")]], spec)
     op = DefectOperator(diag)
     eigs = np.sort_complex(dense_spectrum(op))
     samples = np.sort_complex(
